@@ -1,6 +1,11 @@
 """Minimizers over flat parameter vectors: L-BFGS with a strong-Wolfe line
 search, and a first-order adaptive method (Adam) for the optimizer ablation.
 
+L-BFGS takes its direction from the compact representation of the
+limited-memory inverse Hessian (Byrd, Nocedal & Schnabel 1994): three GEMVs
+over one preallocated buffer of the stored pairs and two small triangular
+solves per iteration.
+
 The objective is a callable ``fun(x) -> (loss, grad)``. Both minimizers are
 deterministic functions of their inputs. Accepted L-BFGS iterates never
 increase the loss; when the Wolfe search fails the step falls back to
@@ -122,19 +127,97 @@ def _backtrack(fun, x, f0, g0, direction, c1=WOLFE_C1, max_evals=40):
     return None, f0, g0, evals
 
 
+class _Pairs:
+    """The newest ``memory`` accepted (s, y) pairs, in a ring of ``memory + 1`` slots.
+
+    Row ``i`` of ``w`` holds slot i's s and row ``m1 + i`` its y. The slot
+    after the newest is the spare: each new pair is written there and becomes
+    the newest only if it passes the curvature test, so the buffer is never
+    copied. ``sy[i, j] = s_i . y_j`` for slots i not newer than j and 0 for
+    i newer, so the stored pairs' block of ``sy``, oldest first, is upper
+    triangular; ``yy[i, j] = y_i . y_j``. Both take one GEMV per accepted pair.
+    """
+
+    def __init__(self, memory: int, n: int):
+        self.memory = memory
+        self.m1 = memory + 1
+        self.w = np.zeros((2 * self.m1, n))
+        self.sy = np.zeros((self.m1, self.m1))
+        self.yy = np.zeros((self.m1, self.m1))
+        self.newest = memory  # the first spare is slot 0
+        self.count = 0
+
+    def slots(self) -> np.ndarray:
+        """Slots of the stored pairs, oldest first."""
+        return np.arange(self.newest - self.count + 1, self.newest + 1) % self.m1
+
+    def reset(self):
+        self.count = 0
+
+    def add(self, x_new, x, g_new, g) -> bool:
+        """Store s = x_new - x, y = g_new - g if s.y > 1e-10 |s| |y|; True if stored."""
+        spare = (self.newest + 1) % self.m1
+        s = np.subtract(x_new, x, out=self.w[spare])
+        y = np.subtract(g_new, g, out=self.w[self.m1 + spare])
+        wy = self.w @ y
+        sy, yy = float(wy[spare]), float(wy[self.m1 + spare])
+        if not sy > 1e-10 * math.sqrt(float(s @ s)) * math.sqrt(yy):
+            # Rows of unstored slots meet zero coefficients in direction(),
+            # and 0 * inf is NaN: keep them finite.
+            s.fill(0.0)
+            y.fill(0.0)
+            return False
+        self.sy[spare] = 0.0
+        self.sy[:, spare] = wy[:self.m1]
+        self.yy[:, spare] = self.yy[spare] = wy[self.m1:]
+        self.newest = spare
+        self.count = min(self.count + 1, self.memory)
+        return True
+
+    def direction(self, g: np.ndarray) -> np.ndarray | None:
+        """-H g, H the compact-form inverse Hessian of the stored pairs.
+
+        H = gamma I + [S  gamma Y] M [S^T; gamma Y^T] with
+        M = [[R^-T (D + gamma Y^T Y) R^-1, -R^-T], [-R^-1, 0]], R the upper
+        triangle of S^T Y and D its diagonal (Byrd, Nocedal & Schnabel 1994,
+        eq. 3.1); gamma = s.y / y.y of the newest pair. Three passes over the
+        buffer and two small solves; None if R is singular.
+        """
+        if not self.count:
+            return -g
+        idx = self.slots()
+        wg = self.w @ g
+        r = self.sy.take(idx, 0).take(idx, 1)
+        yy = self.yy.take(idx, 0).take(idx, 1)
+        gamma = r[-1, -1] / yy[-1, -1]
+        try:
+            t = np.linalg.solve(r, wg[idx])
+            u = np.linalg.solve(r.T, np.diagonal(r) * t + gamma * (yy @ t - wg[self.m1 + idx]))
+        except np.linalg.LinAlgError:
+            return None
+        coef = np.zeros(2 * self.m1)
+        coef[idx] = -u
+        coef[self.m1 + idx] = gamma * t
+        d = coef @ self.w
+        d -= gamma * g
+        return d
+
+
 def minimize_lbfgs(fun, x0, max_iterations, memory=10, grad_tol=1e-6,
                    loss_tol=1e-10, callback=None):
-    """Limited-memory BFGS (two-loop recursion) with strong-Wolfe steps.
+    """Limited-memory BFGS with strong-Wolfe steps.
 
+    The search direction comes from the compact representation of the
+    limited-memory inverse Hessian (Byrd, Nocedal & Schnabel 1994,
+    *Representations of quasi-Newton matrices and their use in limited memory
+    methods*) over a preallocated ring of the newest ``memory`` pairs.
     Stops at the iteration cap, when the gradient max-norm drops below
     ``grad_tol``, or when the relative loss change drops below ``loss_tol``.
     """
     x = np.asarray(x0, dtype=np.float64).copy()
     f, g = fun(x)
     evals = 1
-    s_list: list[np.ndarray] = []
-    y_list: list[np.ndarray] = []
-    rho_list: list[float] = []
+    pairs = _Pairs(memory, x.size)
     history = [float(f)]
     failures = 0
     stop = "max_iterations"
@@ -147,25 +230,13 @@ def minimize_lbfgs(fun, x0, max_iterations, memory=10, grad_tol=1e-6,
             it -= 1
             break
 
-        # two-loop recursion for the search direction
-        q = g.copy()
-        alphas = []
-        for s, y, rho in zip(reversed(s_list), reversed(y_list), reversed(rho_list)):
-            a = rho * float(s @ q)
-            alphas.append(a)
-            q -= a * y
-        if y_list:
-            gamma = float(s_list[-1] @ y_list[-1]) / float(y_list[-1] @ y_list[-1])
-            q *= gamma
-        for (s, y, rho), a in zip(zip(s_list, y_list, rho_list), reversed(alphas)):
-            b = rho * float(y @ q)
-            q += (a - b) * s
-        direction = -q
-        if not np.all(np.isfinite(direction)) or float(g @ direction) >= 0:
+        direction = pairs.direction(g)
+        if (direction is None or not np.all(np.isfinite(direction))
+                or float(g @ direction) >= 0):
             direction = -g
-            s_list.clear(); y_list.clear(); rho_list.clear()
+            pairs.reset()
 
-        alpha0 = 1.0 if s_list else min(1.0, 1.0 / max(1.0, float(np.abs(g).sum())))
+        alpha0 = 1.0 if pairs.count else min(1.0, 1.0 / max(1.0, float(np.abs(g).sum())))
         alpha, f_new, g_new, n_ev = strong_wolfe(fun, x, f, g, direction, alpha0)
         evals += n_ev
         if alpha is None:
@@ -179,18 +250,10 @@ def minimize_lbfgs(fun, x0, max_iterations, memory=10, grad_tol=1e-6,
                 stop = "stalled"
                 it -= 1
                 break
-            s_list.clear(); y_list.clear(); rho_list.clear()
+            pairs.reset()
 
         x_new = x + alpha * direction
-        s = x_new - x
-        y = g_new - g
-        sy = float(s @ y)
-        if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
-            s_list.append(s)
-            y_list.append(y)
-            rho_list.append(1.0 / sy)
-            if len(s_list) > memory:
-                s_list.pop(0); y_list.pop(0); rho_list.pop(0)
+        pairs.add(x_new, x, g_new, g)
 
         rel = abs(f - f_new) / max(abs(f), abs(f_new), 1.0)
         x, f, g = x_new, f_new, g_new
