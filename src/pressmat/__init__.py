@@ -20,10 +20,8 @@ from .dataset import (
 )
 from .features import (
     FEATURE_NAMES,
-    ContourSet,
     FeatureTable,
     Isoline,
-    contour_set,
     extract_all,
     extract_contour_features,
     extract_statistical,

@@ -272,8 +272,9 @@ def save_corpus(corpus: Corpus, root_path: str, extra_manifest: dict | None = No
             header += [f"v{i}" for i in range(corpus.grid.n_cells)]
             w.writerow(header)
             for f in corpus.frames:
+                # repr of a Python float is _fmt of the numpy scalar, without boxing each cell
                 row = [f.subject_id, str(f.posture_id), str(f.frame_index)]
-                row += [_fmt(v) for v in f.values.ravel()]
+                row += map(repr, f.values.ravel().tolist())
                 w.writerow(row)
 
         if os.path.isdir(root_path):

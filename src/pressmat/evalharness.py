@@ -7,6 +7,7 @@ Aggregates are mean and sample (n-1) standard deviation over folds; confusion
 matrices aggregate by summing counts.
 """
 
+import dataclasses
 import json
 import os
 import tempfile
@@ -151,16 +152,7 @@ class MtnetRecipe:
         self.config = config or mtnet.TrainConfig()
 
     def run_fold(self, train: FoldData, test: FoldData, seed: int) -> dict:
-        config = mtnet.TrainConfig(
-            max_iterations=self.config.max_iterations,
-            weight_decay=self.config.weight_decay,
-            optimizer=self.config.optimizer,
-            lbfgs_memory=self.config.lbfgs_memory,
-            grad_tol=self.config.grad_tol,
-            loss_tol=self.config.loss_tol,
-            learning_rate=self.config.learning_rate,
-            seed=seed,
-        )
+        config = dataclasses.replace(self.config, seed=seed)
         model = mtnet.train(train.x, train.subject_ids, train.bmi, config)
         mtnet.fit_bmi_class_head(model, train.x, train.bmi_class,
                                  n_classes=train.n_bmi_classes)
@@ -340,8 +332,10 @@ def run_cv(
     """Train/test the recipe on every fold and aggregate metrics.
 
     ``subjects`` (id -> SubjectRecord) enables the weight/height class modes;
-    without it, BMI classes are clustered from the table's BMI column. A
-    failing fold is recorded and skipped; two failures abort the run.
+    without it, BMI classes are clustered from the table's BMI column. A fold
+    that raises ``ValueError`` (bad data; ``np.linalg.LinAlgError`` is one) is
+    recorded and skipped, and two such failures abort the run. Any other
+    exception is a programming error and propagates.
     """
     class_order = sorted(set(table.subject_ids.tolist()))
     per_fold: list[dict] = []
@@ -415,7 +409,7 @@ def run_cv(
             for k in ("identity_precision", "identity_recall", "identity_f1"):
                 if k in arrays:
                     agg_arrays.setdefault(k, []).append(np.asarray(arrays[k]))
-        except Exception as e:  # noqa: BLE001 - fold failures are data, not bugs
+        except ValueError as e:  # bad data (LinAlgError included); bugs propagate
             failed.append({"fold": fold, "error": f"{type(e).__name__}: {e}"})
             if len(failed) >= 2:
                 raise RuntimeError(

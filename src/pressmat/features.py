@@ -145,12 +145,6 @@ class Isoline:
     level: float
 
 
-@dataclass(frozen=True)
-class ContourSet:
-    levels: tuple[float, ...]
-    isolines: tuple[tuple[Isoline, ...], ...]  # one tuple per level
-
-
 # Non-saddle marching-squares cases: corner bits are tl=1, tr=2, br=4, bl=8
 # (bit set when the corner is strictly above the level); values name the cell
 # edges the single segment connects.
@@ -267,14 +261,6 @@ def trace_isolines(frame: PressureFrame, level: float) -> list[Isoline]:
     return out
 
 
-def contour_set(frame: PressureFrame) -> ContourSet:
-    levels = select_contour_levels(frame)
-    return ContourSet(
-        levels=tuple(float(c) for c in levels),
-        isolines=tuple(tuple(trace_isolines(frame, c)) for c in levels),
-    )
-
-
 def extract_contour_features(frame: PressureFrame) -> tuple[int, float]:
     """(total polyline count, sum of x + y over every polyline vertex).
 
@@ -287,7 +273,7 @@ def extract_contour_features(frame: PressureFrame) -> tuple[int, float]:
         lines = trace_isolines(frame, level)
         count += len(lines)
         for line in lines:
-            terms.extend(float(x + y) for x, y in line.points)
+            terms.extend((line.points[:, 0] + line.points[:, 1]).tolist())
     return count, math.fsum(terms)
 
 

@@ -411,14 +411,6 @@ def predict_bmi_class(model: MultitaskModel, features: np.ndarray) -> np.ndarray
     return logits.argmax(axis=1)
 
 
-def predict_identity(model: MultitaskModel, features: np.ndarray) -> np.ndarray:
-    """Predicted subject ids (argmax of the identity head)."""
-    out = forward(model, features)
-    idx = out.identity_probs.argmax(axis=1)
-    ids = np.array(model.subject_ids)
-    return ids[idx]
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------

@@ -6,29 +6,59 @@ frames sharing (subject, posture) with consecutive frame indices; an index gap
 marks a recording boundary and the temporal filter never smooths across it.
 """
 
+from functools import lru_cache
+
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import convolve1d
 
 from .dataset import Corpus, PressureFrame
+
+
+@lru_cache(maxsize=8)
+def _median_plan(rows: int, cols: int, window: int):
+    """Tap indices into the flat NaN-padded frame, and the median positions.
+
+    Row i of ``taps`` lists cell i's window x window neighbours in the
+    ``(rows + window - 1, cols + window - 1)`` padded frame. Once the taps are
+    sorted (NaN last), the median of the clipped window is the mean of the
+    sorted taps at ``lo`` and ``hi``, the middle positions of its real count.
+    """
+    half = window // 2
+    padded_cols = cols + 2 * half
+    offsets = (np.arange(window)[:, None] * padded_cols + np.arange(window)).ravel()
+    corners = (np.arange(rows)[:, None] * padded_cols + np.arange(cols)).ravel()
+    taps = corners[:, None] + offsets
+
+    def span(n):
+        i = np.arange(n)
+        return np.minimum(i + half, n - 1) - np.maximum(i - half, 0) + 1
+
+    count = (span(rows)[:, None] * span(cols)).reshape(-1, 1)
+    lo, hi = (count - 1) // 2, count // 2
+    for a in (taps, lo, hi):
+        a.flags.writeable = False
+    return taps, lo, hi
 
 
 def median_filter(frame: PressureFrame, window: int = 3) -> PressureFrame:
     """Replace each cell by the median of its window x window neighborhood.
 
     Neighborhoods are clipped to the grid, so border cells use fewer values;
-    even-sized neighborhoods average the two middle order statistics.
+    even-sized neighborhoods average the two middle order statistics. The
+    median is the exact order statistic, taken from one sort of each cell's
+    taps in a NaN-padded copy of the frame.
     """
     if window < 1 or window % 2 == 0:
         raise ValueError(f"median window must be odd and positive, got {window}")
     if window == 1:
         return frame
 
-    half = window // 2
-    padded = np.pad(frame.values, half, mode="constant", constant_values=np.nan)
-    windows = sliding_window_view(padded, (window, window))
-    out = np.nanmedian(windows, axis=(2, 3))
-    out = np.clip(out, 0.0, frame.grid.sensor_ceiling)
+    taps, lo, hi = _median_plan(frame.grid.rows, frame.grid.cols, window)
+    padded = np.pad(frame.values, window // 2, mode="constant", constant_values=np.nan)
+    s = padded.ravel()[taps]
+    s.sort(axis=1)
+    out = (np.take_along_axis(s, lo, axis=1) + np.take_along_axis(s, hi, axis=1)) / 2.0
+    out = np.clip(out.reshape(frame.values.shape), 0.0, frame.grid.sensor_ceiling)
     return PressureFrame(
         grid=frame.grid,
         values=out,

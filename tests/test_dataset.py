@@ -1,3 +1,4 @@
+import csv
 import os
 
 import numpy as np
@@ -135,6 +136,30 @@ class TestRoundTrip:
         for name in ("manifest.json", "subjects.csv", "frames.csv"):
             with open(os.path.join(r1, name), "rb") as fa, open(os.path.join(r2, name), "rb") as fb:
                 assert fa.read() == fb.read()
+
+    def test_frames_csv_text_is_repr_of_each_cell(self, tmp_path):
+        grid = GridSpec(2, 3, 1000.0, 1.0)
+        cells = [0.0, 0.1, 5e-324, 1e-300, 999.9999999999999, 1000.0]
+        frames = (
+            PressureFrame(grid, cells, "A", 2, 7),
+            PressureFrame(grid, cells[::-1], "A", 2, 8),
+        )
+        c = Corpus(grid=grid, subjects={"A": make_subject("A")}, frames=frames)
+        root = str(tmp_path / "c")
+        save_corpus(c, root)
+
+        want_path = str(tmp_path / "want.csv")
+        with open(want_path, "w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh)
+            w.writerow(["subject_id", "posture_id", "frame_index"] + [f"v{i}" for i in range(6)])
+            for f in c.frames:
+                row = [f.subject_id, str(f.posture_id), str(f.frame_index)]
+                row += [repr(float(v)) for v in f.values.ravel()]  # one numpy scalar at a time
+                w.writerow(row)
+        with open(os.path.join(root, "frames.csv"), "rb") as fa, open(want_path, "rb") as fb:
+            assert fa.read() == fb.read()
+        for a, b in zip(c.frames, load_corpus(root).frames):
+            assert np.array_equal(a.values.view(np.int64), b.values.view(np.int64))
 
     def test_empty_frames_ok(self, tmp_path):
         grid = GridSpec(2, 2, 100.0, 1.0)

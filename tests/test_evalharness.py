@@ -257,7 +257,7 @@ class TestFoldFailures:
             fold = self.calls
             self.calls += 1
             if fold in self.bad_folds:
-                raise RuntimeError("synthetic fold failure")
+                raise ValueError("synthetic fold failure")
             return {"bmi_pred": test.bmi + 0.1}
 
     def test_single_failure_marked_and_skipped(self):
@@ -273,6 +273,16 @@ class TestFoldFailures:
         plan = make_folds(table.subject_ids, n_folds=4, seed=0)
         with pytest.raises(RuntimeError, match="2 folds failed"):
             run_cv(table, self.FlakyRecipe({0, 2}), plan, n_bmi_classes=3)
+
+    def test_programming_error_propagates(self):
+        class BuggyRecipe(self.FlakyRecipe):
+            def run_fold(self, train, test, seed):
+                raise TypeError("synthetic bug")
+
+        table = synthetic_table(n_subjects=3, frames=20, seed=22)
+        plan = make_folds(table.subject_ids, n_folds=4, seed=0)
+        with pytest.raises(TypeError, match="synthetic bug"):
+            run_cv(table, BuggyRecipe(set()), plan, n_bmi_classes=3)
 
 
 def test_make_recipe_names():

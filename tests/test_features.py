@@ -342,6 +342,33 @@ class TestContourFeatures:
         assert got_sum == pytest.approx(want, abs=1e-9)
 
 
+def contour_features_reference(frame):
+    """Polyline count and per-vertex ``float(x + y)`` terms summed by ``math.fsum``."""
+    count = 0
+    terms = []
+    for level in select_contour_levels(frame):
+        lines = trace_isolines(frame, level)
+        count += len(lines)
+        for line in lines:
+            terms.extend(float(x + y) for x, y in line.points)
+    return count, math.fsum(terms)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_contour_features_match_per_vertex_reference(seed):
+    rng = np.random.default_rng(seed)
+    yy, xx = np.mgrid[0:12, 0:20]
+    bumps = sum(
+        rng.uniform(50, 400) * np.exp(-((xx - rng.uniform(0, 20)) ** 2
+                                        + (yy - rng.uniform(0, 12)) ** 2) / rng.uniform(2, 12))
+        for _ in range(3)
+    )
+    noisy = np.clip(bumps + rng.normal(0, 5, bumps.shape), 0.0, 1000.0)
+    for values in (bumps, noisy, np.where(rng.random(bumps.shape) < 0.3, 0.0, noisy)):
+        f = make_frame(values)
+        assert extract_contour_features(f) == contour_features_reference(f)
+
+
 class TestExtractAll:
     def test_full_mask_gives_14(self):
         f = disc_frame()

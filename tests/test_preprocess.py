@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from pressmat.preprocess import (
     denoise_corpus,
@@ -12,7 +13,31 @@ from pressmat.preprocess import (
 from conftest import make_frame
 
 
+def nanmedian_oracle(values, window, ceiling):
+    """The clipped-window median as ``np.nanmedian`` over a NaN-padded window view."""
+    half = window // 2
+    padded = np.pad(values, half, mode="constant", constant_values=np.nan)
+    windows = sliding_window_view(padded, (window, window))
+    return np.clip(np.nanmedian(windows, axis=(2, 3)), 0.0, ceiling)
+
+
 class TestMedianFilter:
+    @pytest.mark.parametrize("window", [1, 3, 5, 7])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (2, 2), (3, 5), (8, 16), (32, 64)])
+    def test_matches_nanmedian_oracle_bit_for_bit(self, shape, window):
+        # windows wider than the grid included; ties, zeros and ceiling values on purpose
+        rng = np.random.default_rng(window * 100 + shape[0] * shape[1])
+        frames = [
+            rng.uniform(0.0, 1000.0, shape),
+            rng.choice([0.0, 0.0, 12.5, 12.5, 300.0, 1000.0], size=shape),
+            np.where(rng.random(shape) < 0.4, 0.0, rng.integers(0, 4, shape) * 250.0),
+        ]
+        for v in frames:
+            got = median_filter(make_frame(v), window).values
+            want = nanmedian_oracle(v, window, 1000.0)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_constant_frame_unchanged(self):
         f = make_frame(np.full((5, 5), 42.0))
         out = median_filter(f, 3)
