@@ -12,6 +12,14 @@ import numpy as np
 KNN_METRICS = ("euclidean", "cosine", "minkowski3")
 
 
+def zscore_fit(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-feature mean and std on training data; constant features get std 1."""
+    mean = x.mean(axis=0)
+    std = x.std(axis=0)
+    std = np.where(std < 1e-12, 1.0, std)
+    return mean, std
+
+
 def _pairwise_distances(queries: np.ndarray, train: np.ndarray, metric: str) -> np.ndarray:
     q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     t = np.asarray(train, dtype=np.float64)
@@ -197,9 +205,7 @@ def kmeans(
     if k < 1 or k > n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
     if standardize:
-        mean = x.mean(axis=0)
-        std = x.std(axis=0)
-        std = np.where(std < 1e-12, 1.0, std)
+        mean, std = zscore_fit(x)
         xs = (x - mean) / std
     else:
         mean = np.zeros(x.shape[1])

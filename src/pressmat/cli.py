@@ -13,8 +13,8 @@ import sys
 import numpy as np
 
 from . import adapters, baselines, evalharness, features, mtnet, preprocess, synthgen
-from .dataset import GridSpec, load_corpus, save_corpus
-from .evalharness import EvaluationReport, _atomic_write_text
+from .dataset import GridSpec, atomic_write_text, load_corpus, save_corpus
+from .evalharness import EvaluationReport
 
 
 def _echo(args: argparse.Namespace) -> dict:
@@ -75,7 +75,7 @@ def cmd_features(args) -> int:
     corpus = load_corpus(args.in_path)
     table = features.extract_table(corpus)
     features.save_feature_table(table, args.out)
-    _atomic_write_text(
+    atomic_write_text(
         args.out + ".meta.json",
         json.dumps({"provenance": _echo(args)}, indent=2, sort_keys=True) + "\n",
     )
@@ -154,7 +154,7 @@ def cmd_importance(args) -> int:
         table, recipe, plan, n_bmi_classes=min(args.bmi_classes, n_subjects)
     )
     doc = {"config_echo": _echo(args), "importance": result}
-    _atomic_write_text(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -177,7 +177,7 @@ def cmd_report(args) -> int:
             lines.append(f"failed folds: {[f['fold'] for f in report.failed_folds]}")
         text = "\n".join(lines) + "\n"
     if args.out:
-        _atomic_write_text(args.out, text)
+        atomic_write_text(args.out, text)
     else:
         sys.stdout.write(text)
     return 0

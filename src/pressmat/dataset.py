@@ -233,6 +233,24 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def atomic_write_text(path: str, text: str) -> None:
+    """Write ``text`` as UTF-8, byte for byte (no newline translation).
+
+    The text goes to a temporary sibling file which then replaces ``path``,
+    so a crash never leaves a half-written file.
+    """
+    parent = os.path.dirname(os.path.abspath(path)) or "."
+    os.makedirs(parent, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=f".{os.path.basename(path)}-", dir=parent, text=True)
+    try:
+        with os.fdopen(fd, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except Exception:
+        os.unlink(tmp)
+        raise
+
+
 def save_corpus(corpus: Corpus, root_path: str, extra_manifest: dict | None = None) -> None:
     """Write a corpus directory; the directory appears atomically.
 

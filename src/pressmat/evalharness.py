@@ -9,14 +9,12 @@ matrices aggregate by summing counts.
 
 import dataclasses
 import json
-import os
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import baselines, mtnet
-from .dataset import SubjectRecord
+from .dataset import SubjectRecord, atomic_write_text
 from .features import FEATURE_NAMES, FeatureTable
 
 
@@ -135,13 +133,6 @@ class FoldData:
     n_bmi_classes: int = 5
 
 
-def _zscore_fit(x):
-    mean = x.mean(axis=0)
-    std = x.std(axis=0)
-    std = np.where(std < 1e-12, 1.0, std)
-    return mean, std
-
-
 class MtnetRecipe:
     """The multitask network: identity, BMI regression, and the 5-class head."""
 
@@ -176,7 +167,7 @@ class KnnRecipe:
         self.metric = metric
 
     def run_fold(self, train: FoldData, test: FoldData, seed: int) -> dict:
-        mean, std = _zscore_fit(train.x)
+        mean, std = baselines.zscore_fit(train.x)
         xtr = (train.x - mean) / std
         xte = (test.x - mean) / std
         k = min(self.k, len(xtr))
@@ -249,7 +240,7 @@ class EvaluationReport:
         }
 
     def save(self, path: str) -> None:
-        _atomic_write_text(
+        atomic_write_text(
             path, json.dumps(self.to_document(), indent=2, sort_keys=True) + "\n"
         )
 
@@ -276,20 +267,7 @@ class EvaluationReport:
             row = [str(entry["fold"])]
             row += [repr(entry["scalars"][m]) for m in names]
             lines.append(",".join(row))
-        _atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def _atomic_write_text(path: str, text: str) -> None:
-    parent = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(parent, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=".report-", dir=parent, text=True)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except Exception:
-        os.unlink(tmp)
-        raise
+        atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def _fold_data(table: FeatureTable, idx: np.ndarray, class_order: list[str],

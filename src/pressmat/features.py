@@ -13,14 +13,13 @@ kurtosis = 0.
 """
 
 import csv
+import io
 import math
-import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import FEATURE_COUNT, Corpus, PressureFrame
+from .dataset import FEATURE_COUNT, Corpus, PressureFrame, atomic_write_text
 
 FEATURE_NAMES = (
     "max",
@@ -145,119 +144,111 @@ class Isoline:
     level: float
 
 
-# Non-saddle marching-squares cases: corner bits are tl=1, tr=2, br=4, bl=8
-# (bit set when the corner is strictly above the level); values name the cell
-# edges the single segment connects.
-_SEGMENT_CASES = {
-    1: (("T", "L"),),
-    2: (("T", "R"),),
-    3: (("L", "R"),),
-    4: (("R", "B"),),
-    6: (("T", "B"),),
-    7: (("L", "B"),),
-    8: (("L", "B"),),
-    9: (("T", "B"),),
-    11: (("R", "B"),),
-    12: (("L", "R"),),
-    13: (("T", "R"),),
-    14: (("T", "L"),),
-}
-
-
-def _edge_point(edge: tuple, values: np.ndarray, level: float) -> tuple[float, float]:
-    """Interpolated crossing (x, y) on a grid edge: fraction (c - p1) / (p2 - p1)."""
-    kind, r, c = edge
-    v1 = values[r, c]
-    if kind == "h":
-        v2 = values[r, c + 1]
-        t = (level - v1) / (v2 - v1)
-        return (c + t, float(r))
-    v2 = values[r + 1, c]
-    t = (level - v1) / (v2 - v1)
-    return (float(c), r + t)
-
-
 def trace_isolines(frame: PressureFrame, level: float) -> list[Isoline]:
     """Marching squares at one level; returns chained polylines.
 
-    Each 2x2 cell contributes segments between edge crossings; a corner counts
-    as inside when strictly above the level. Saddle cells (both diagonal
-    corners above) are split by comparing the cell's center average against
-    the level. Segments are chained into polylines that either close on
-    themselves or end on the grid boundary.
+    A corner counts as inside when strictly above the level. The crossing
+    graph has one node per crossed grid edge (its two ends on opposite sides
+    of the level), numbered horizontal edges first, then vertical ones, each
+    row-major. Every 2x2 cell that is neither all inside nor all outside has
+    two crossed edges and joins them; a saddle cell (diagonal corners inside)
+    has four, paired by comparing the cell's centre average against the
+    level. So each node has at most two neighbours, one per cell it borders,
+    and the graph is a set of disjoint chains and cycles. Chains are walked
+    from their boundary ends in node order, then the remaining cycles from
+    their lowest node. A node's point is the linear interpolation of the
+    level along its edge.
     """
     v = frame.values
     vmin = float(v.min())
     vmax = float(v.max())
     if not (vmin < level <= vmax):
         raise ValueError(f"level {level} outside ({vmin}, {vmax}]")
+    rows, cols = v.shape
+    if rows < 2 or cols < 2:
+        return []
 
-    above = (v > level).astype(np.int8)
-    code = (
-        above[:-1, :-1]
-        + 2 * above[:-1, 1:]
-        + 4 * above[1:, 1:]
-        + 8 * above[1:, :-1]
-    )
-    rows, cols = np.nonzero((code != 0) & (code != 15))
+    # Edges are indexed by their top-left corner on a grid one row and one
+    # column wider than the frame; the padding holds no edge, so a neighbour
+    # looked up past the border (negative indices wrap to the last row) is -1.
+    w = cols + 1
+    above = v > level
+    h_cross = np.zeros((rows + 1, w), dtype=bool)
+    np.not_equal(above[:, :-1], above[:, 1:], out=h_cross[:rows, :cols - 1])
+    v_cross = np.zeros((rows + 1, w), dtype=bool)
+    np.not_equal(above[:-1], above[1:], out=v_cross[:rows - 1, :cols])
+    hp = np.flatnonzero(h_cross)
+    vp = np.flatnonzero(v_cross)
+    nh = hp.size
+    n = nh + vp.size
+    h_id = np.full(h_cross.size, -1)
+    h_id[hp] = np.arange(nh)
+    v_id = np.full(v_cross.size, -1)
+    v_id[vp] = np.arange(nh, n)
 
-    adj: dict[tuple, list] = {}
+    # A non-saddle cell has exactly two crossed edges, so a node's partner in
+    # it is the max of the cell's other three edge ids. nb0 comes from the
+    # earlier cell in row-major order (above a horizontal edge, left of a
+    # vertical one), nb1 from the later one.
+    nb0 = np.concatenate((
+        np.maximum(np.maximum(h_id[hp - w], v_id[hp - w]), v_id[hp - w + 1]),
+        np.maximum(np.maximum(h_id[vp - 1], h_id[vp + w - 1]), v_id[vp - 1]),
+    ))
+    nb1 = np.concatenate((
+        np.maximum(np.maximum(h_id[hp + w], v_id[hp]), v_id[hp + 1]),
+        np.maximum(np.maximum(h_id[vp], h_id[vp + w]), v_id[vp + 1]),
+    ))
+    flat = v.ravel()
+    # a cell whose top, bottom and left edges cross also crosses its right one
+    saddle = h_cross[:-1] & h_cross[1:] & v_cross[:-1]
+    if saddle.any():
+        cell = np.flatnonzero(saddle)
+        top, bottom = h_id[cell], h_id[cell + w]
+        left, right = v_id[cell], v_id[cell + 1]
+        tl = cell - cell // w  # index of the cell's top-left corner in ``flat``
+        centre = (flat[tl] + flat[tl + 1] + flat[tl + cols] + flat[tl + cols + 1]) / 4.0 > level
+        # top-right and bottom-left pairs when the top-left corner is on the
+        # centre's side, else top-left and bottom-right pairs
+        tr = above.ravel()[tl] == centre
+        nb1[top] = np.where(tr, right, left)
+        nb0[bottom] = np.where(tr, left, right)
+        nb1[left] = np.where(tr, bottom, top)
+        nb0[right] = np.where(tr, top, bottom)
 
-    def connect(u, v_):
-        adj.setdefault(u, []).append(v_)
-        adj.setdefault(v_, []).append(u)
+    hr = hp // w
+    vr = vp // w
+    hq = hp - hr  # index of the edge's first end in ``flat``
+    vq = vp - vr
+    points = np.empty((n, 2))
+    x1 = flat[hq]
+    points[:nh, 0] = (hp - hr * w) + (level - x1) / (flat[hq + 1] - x1)
+    points[:nh, 1] = hr
+    y1 = flat[vq]
+    points[nh:, 0] = vp - vr * w
+    points[nh:, 1] = vr + (level - y1) / (flat[vq + cols] - y1)
 
-    for r, c in zip(rows.tolist(), cols.tolist()):
-        k = int(code[r, c])
-        edges = {
-            "T": ("h", r, c),
-            "B": ("h", r + 1, c),
-            "L": ("v", r, c),
-            "R": ("v", r, c + 1),
-        }
-        if k in (5, 10):
-            center_above = (v[r, c] + v[r, c + 1] + v[r + 1, c] + v[r + 1, c + 1]) / 4.0 > level
-            if k == 5:  # tl and br above
-                pairs = (("T", "R"), ("B", "L")) if center_above else (("T", "L"), ("R", "B"))
-            else:  # tr and bl above
-                pairs = (("T", "L"), ("R", "B")) if center_above else (("T", "R"), ("L", "B"))
-        else:
-            pairs = _SEGMENT_CASES[k]
-        for a, b in pairs:
-            connect(edges[a], edges[b])
-
-    visited: set = set()
-    chains: list[tuple[list, bool]] = []
-
-    def walk(start):
-        chain = [start]
-        visited.add(start)
-        prev, cur = None, start
-        while True:
-            nxt = None
-            for cand in adj[cur]:
-                if cand != prev and cand not in visited:
-                    nxt = cand
-                    break
-            if nxt is None:
-                closed = prev is not None and start in adj[cur] and len(chain) > 2
-                return chain, closed
-            chain.append(nxt)
-            visited.add(nxt)
-            prev, cur = cur, nxt
-
-    endpoints = sorted(node for node, nbrs in adj.items() if len(nbrs) == 1)
-    for node in endpoints:
-        if node not in visited:
-            chains.append(walk(node))
-    for node in sorted(adj):
-        if node not in visited:
-            chains.append(walk(node))
-
+    ends = np.flatnonzero((nb0 < 0) | (nb1 < 0)).tolist()
+    nb0 = nb0.tolist()
+    nb1 = nb1.tolist()
+    visited = [False] * n
     out = []
-    for chain, closed in chains:
-        pts = np.array([_edge_point(e, v, level) for e in chain])
-        out.append(Isoline(points=pts, closed=closed, level=float(level)))
+    for start in ends + list(range(n)):
+        if visited[start]:
+            continue
+        chain = [start]
+        visited[start] = True
+        cur = start
+        while True:  # the previous node is visited: step to the unvisited neighbour
+            nxt = nb0[cur]
+            if nxt < 0 or visited[nxt]:
+                nxt = nb1[cur]
+                if nxt < 0 or visited[nxt]:
+                    break
+            chain.append(nxt)
+            visited[nxt] = True
+            cur = nxt
+        closed = len(chain) > 2 and start in (nb0[cur], nb1[cur])
+        out.append(Isoline(points=points[chain], closed=closed, level=float(level)))
     return out
 
 
@@ -366,28 +357,21 @@ FEATURES_CSV_HEADER = (
 
 def save_feature_table(table: FeatureTable, path: str) -> None:
     """Write features.csv atomically; masked features become empty cells."""
-    parent = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(parent, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=".features-", dir=parent, text=True)
-    try:
-        with os.fdopen(fd, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(FEATURES_CSV_HEADER)
-            for i in range(len(table)):
-                row = [
-                    str(table.subject_ids[i]),
-                    str(int(table.posture_ids[i])),
-                    str(int(table.frame_indices[i])),
-                ]
-                row += [
-                    "" if np.isnan(v) else repr(float(v)) for v in table.X[i]
-                ]
-                row.append(repr(float(table.bmi[i])))
-                w.writerow(row)
-        os.replace(tmp, path)
-    except Exception:
-        os.unlink(tmp)
-        raise
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(FEATURES_CSV_HEADER)
+    for i in range(len(table)):
+        row = [
+            str(table.subject_ids[i]),
+            str(int(table.posture_ids[i])),
+            str(int(table.frame_indices[i])),
+        ]
+        row += [
+            "" if np.isnan(v) else repr(float(v)) for v in table.X[i]
+        ]
+        row.append(repr(float(table.bmi[i])))
+        w.writerow(row)
+    atomic_write_text(path, buf.getvalue())
 
 
 def load_feature_table(path: str) -> FeatureTable:

@@ -13,13 +13,13 @@ activations converts the regression model into a 5-way BMI classifier.
 
 import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import lbfgs
+from .baselines import zscore_fit
+from .dataset import atomic_write_text
 
 HIDDEN_SIZES = (64, 128, 256, 256, 256)
 LOG_EPS = 1e-12
@@ -136,14 +136,6 @@ def _norm_stats(model_or_stats):
     if isinstance(model_or_stats, MultitaskModel):
         return model_or_stats.norm_mean, model_or_stats.norm_std
     return model_or_stats
-
-
-def fit_normalization(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-feature mean and std on training data; constant features get std 1."""
-    mean = x.mean(axis=0)
-    std = x.std(axis=0)
-    std = np.where(std < 1e-12, 1.0, std)
-    return mean, std
 
 
 def _softmax_log(logits: np.ndarray) -> np.ndarray:
@@ -315,7 +307,7 @@ def train(
     if len(subject_ids) < 2:
         raise ValueError("need at least 2 subjects to train the identity head")
 
-    mean, std = fit_normalization(x)
+    mean, std = zscore_fit(x)
     xn = (x - mean) / std
     y_idx = _identity_indices(subject_ids, subjects)
 
@@ -448,17 +440,7 @@ def save_model(model: MultitaskModel, path: str) -> None:
         },
         "grid_meta": model.grid_meta,
     }
-    parent = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(parent, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=".model-", dir=parent, text=True)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except Exception:
-        os.unlink(tmp)
-        raise
+    atomic_write_text(path, json.dumps(doc, sort_keys=True) + "\n")
 
 
 def load_model(path: str, expect_feature_mask: tuple[bool, ...] | None = None) -> MultitaskModel:

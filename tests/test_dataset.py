@@ -11,6 +11,7 @@ from pressmat.dataset import (
     GridSpec,
     PressureFrame,
     SubjectRecord,
+    atomic_write_text,
     compute_bmi,
     load_corpus,
     load_posture_table,
@@ -174,6 +175,22 @@ class TestRoundTrip:
         save_corpus(tiny_corpus, root)  # no error, replaced atomically
         assert load_corpus(root).subjects == tiny_corpus.subjects
 
+
+
+class TestAtomicWriteText:
+    def test_text_is_written_byte_for_byte(self, tmp_path):
+        path = tmp_path / "sub" / "out.csv"
+        atomic_write_text(str(path), "a,b\r\n1,\u00e9\n")
+        assert path.read_bytes() == "a,b\r\n1,\u00e9\n".encode("utf-8")
+        assert os.listdir(path.parent) == ["out.csv"]
+
+    def test_failed_write_keeps_old_file_and_no_temporary(self, tmp_path):
+        path = tmp_path / "out.json"
+        atomic_write_text(str(path), "old\n")
+        with pytest.raises(TypeError):
+            atomic_write_text(str(path), None)
+        assert path.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["out.json"]
 
 class TestLoadErrors:
     def _write(self, tmp_path, corpus):

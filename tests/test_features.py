@@ -8,12 +8,15 @@ from hypothesis import given, settings, strategies as st
 from pressmat.dataset import GridSpec
 from pressmat.features import (
     FEATURE_NAMES,
+    Isoline,
     extract_all,
     extract_contour_features,
     extract_statistical,
     select_contour_levels,
     trace_isolines,
 )
+from pressmat.preprocess import denoise_corpus
+from pressmat.synthgen import NoiseSpec, generate_corpus
 
 from conftest import make_frame
 
@@ -317,6 +320,193 @@ class TestTraceIsolines:
         f2 = make_frame([[0.0, 60.0], [60.0, 0.0]])
         lines2 = trace_isolines(f2, 50.0)
         assert len(lines2) == 2
+
+
+# ---------------------------------------------------------------------------
+# Per-cell marching squares over tuple-keyed adjacency lists: the reference
+# the array-built crossing graph of trace_isolines must reproduce bit for bit
+# ---------------------------------------------------------------------------
+
+# Non-saddle cases: corner bits are tl=1, tr=2, br=4, bl=8 (bit set when the
+# corner is strictly above the level); values name the edges the segment joins.
+_SEGMENT_CASES = {
+    1: (("T", "L"),),
+    2: (("T", "R"),),
+    3: (("L", "R"),),
+    4: (("R", "B"),),
+    6: (("T", "B"),),
+    7: (("L", "B"),),
+    8: (("L", "B"),),
+    9: (("T", "B"),),
+    11: (("R", "B"),),
+    12: (("L", "R"),),
+    13: (("T", "R"),),
+    14: (("T", "L"),),
+}
+
+
+def _edge_point(edge, values, level):
+    kind, r, c = edge
+    v1 = values[r, c]
+    if kind == "h":
+        v2 = values[r, c + 1]
+        t = (level - v1) / (v2 - v1)
+        return (c + t, float(r))
+    v2 = values[r + 1, c]
+    t = (level - v1) / (v2 - v1)
+    return (float(c), r + t)
+
+
+def _cell_codes(v, level):
+    above = (v > level).astype(np.int8)
+    return (
+        above[:-1, :-1]
+        + 2 * above[:-1, 1:]
+        + 4 * above[1:, 1:]
+        + 8 * above[1:, :-1]
+    )
+
+
+def trace_isolines_oracle(frame, level):
+    v = frame.values
+    vmin = float(v.min())
+    vmax = float(v.max())
+    if not (vmin < level <= vmax):
+        raise ValueError(f"level {level} outside ({vmin}, {vmax}]")
+
+    code = _cell_codes(v, level)
+    rows, cols = np.nonzero((code != 0) & (code != 15))
+
+    adj = {}
+
+    def connect(u, v_):
+        adj.setdefault(u, []).append(v_)
+        adj.setdefault(v_, []).append(u)
+
+    for r, c in zip(rows.tolist(), cols.tolist()):
+        k = int(code[r, c])
+        edges = {
+            "T": ("h", r, c),
+            "B": ("h", r + 1, c),
+            "L": ("v", r, c),
+            "R": ("v", r, c + 1),
+        }
+        if k in (5, 10):
+            center_above = (v[r, c] + v[r, c + 1] + v[r + 1, c] + v[r + 1, c + 1]) / 4.0 > level
+            if k == 5:  # tl and br above
+                pairs = (("T", "R"), ("B", "L")) if center_above else (("T", "L"), ("R", "B"))
+            else:  # tr and bl above
+                pairs = (("T", "L"), ("R", "B")) if center_above else (("T", "R"), ("L", "B"))
+        else:
+            pairs = _SEGMENT_CASES[k]
+        for a, b in pairs:
+            connect(edges[a], edges[b])
+
+    visited = set()
+    chains = []
+
+    def walk(start):
+        chain = [start]
+        visited.add(start)
+        prev, cur = None, start
+        while True:
+            nxt = None
+            for cand in adj[cur]:
+                if cand != prev and cand not in visited:
+                    nxt = cand
+                    break
+            if nxt is None:
+                closed = prev is not None and start in adj[cur] and len(chain) > 2
+                return chain, closed
+            chain.append(nxt)
+            visited.add(nxt)
+            prev, cur = cur, nxt
+
+    endpoints = sorted(node for node, nbrs in adj.items() if len(nbrs) == 1)
+    for node in endpoints:
+        if node not in visited:
+            chains.append(walk(node))
+    for node in sorted(adj):
+        if node not in visited:
+            chains.append(walk(node))
+
+    out = []
+    for chain, closed in chains:
+        pts = np.array([_edge_point(e, v, level) for e in chain])
+        out.append(Isoline(points=pts, closed=closed, level=float(level)))
+    return out
+
+
+def assert_matches_oracle(frame, extra_levels=()):
+    """Same polylines, vertex bits, closed flags and levels at every level."""
+    levels = list(select_contour_levels(frame)) + list(extra_levels)
+    for level in levels:
+        got = trace_isolines(frame, level)
+        want = trace_isolines_oracle(frame, level)
+        assert len(got) == len(want), level
+        for g, w in zip(got, want):
+            assert g.closed == w.closed, level
+            assert g.level == w.level and type(g.level) is float
+            assert g.points.dtype == w.points.dtype and g.points.shape == w.points.shape
+            assert g.points.tobytes() == w.points.tobytes(), level
+    return len(levels)
+
+
+def cell_value_levels(values):
+    """Every distinct cell value above the minimum: levels a corner equals."""
+    return np.unique(values)[1:]
+
+
+@pytest.mark.parametrize("denoised", [False, True], ids=["raw", "denoised"])
+def test_trace_matches_oracle_on_synthetic_frames(denoised):
+    corpus = generate_corpus(
+        n_subjects=2,
+        frames_per_subject=4,
+        postures=("supine", "left"),
+        noise=NoiseSpec(multiplicative_sigma=0.1, dropout_prob=0.02, jitter_sigma_cells=0.5),
+        grid=GridSpec(32, 64, 1000.0, 1.5),
+        seed=4,
+    )
+    if denoised:
+        corpus = denoise_corpus(corpus)
+    assert sum(assert_matches_oracle(f) for f in corpus.frames) > 8 * 10
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 5), (6, 6), (5, 7), (8, 16)])
+def test_trace_matches_oracle_on_rounded_and_dropout_grids(shape):
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    for i in range(12):
+        v = np.round(rng.uniform(0, 30, size=shape), 1)
+        if i % 2:
+            v[rng.random(shape) < 0.4] = 0.0
+        assert_matches_oracle(make_frame(v), cell_value_levels(v))
+
+
+def test_trace_matches_oracle_on_saddle_checkerboards():
+    rng = np.random.default_rng(7)
+    rr, cc = np.indices((6, 9))
+    seen = set()
+    for _ in range(12):
+        high = np.round(rng.uniform(40, 100, rr.shape))
+        low = np.round(rng.uniform(0, 30, rr.shape))
+        v = np.where((rr + cc) % 2 == 0, high, low)
+        f = make_frame(v)
+        assert_matches_oracle(f, [35.0])
+        code = _cell_codes(v, 35.0)
+        centre = (v[:-1, :-1] + v[:-1, 1:] + v[1:, :-1] + v[1:, 1:]) / 4.0 > 35.0
+        seen |= {(int(k), bool(c)) for k, c in zip(code.ravel(), centre.ravel())}
+    assert {(5, False), (5, True), (10, False), (10, True)} <= seen
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (1, 7), (7, 1)])
+def test_trace_matches_oracle_on_degenerate_grids(shape):
+    rng = np.random.default_rng(3)
+    for _ in range(8):
+        v = np.round(rng.uniform(0, 30, size=shape), 1)
+        f = make_frame(v)
+        assert_matches_oracle(f, cell_value_levels(v))
+        if 1 in shape:
+            assert all(trace_isolines(f, c) == [] for c in cell_value_levels(v))
 
 
 class TestContourFeatures:
