@@ -28,7 +28,7 @@ corpus = generate_corpus(
 table = extract_table(denoise_corpus(corpus))
 X = table.active_matrix()
 
-config = TrainConfig(max_iterations=200, optimizer="lbfgs", seed=0)
+config = TrainConfig(max_iterations=200, seed=0)
 model = train(X, table.subject_ids, table.bmi, config)
 
 res = model.train_result
@@ -50,9 +50,3 @@ labels = np.array([classes[s] for s in table.subject_ids])
 fit_bmi_class_head(model, X, labels)
 cls_acc = (predict_bmi_class(model, X) == labels).mean()
 print(f"BMI class head training accuracy: {cls_acc:.3f}")
-
-# the Adam ablation: same budget, compare final loss
-adam_model = train(X, table.subject_ids, table.bmi,
-                   TrainConfig(max_iterations=200, optimizer="adaptive", seed=0))
-print(f"\nL-BFGS final loss {res.loss:.4f} vs Adam {adam_model.train_result.loss:.4f} "
-      f"at the same iteration budget")

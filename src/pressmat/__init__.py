@@ -38,9 +38,6 @@ from .mtnet import (
     fit_bmi_class_head,
     forward,
     load_model,
-    loss_bmi,
-    loss_subject,
-    loss_total,
     save_model,
     train,
 )
@@ -51,7 +48,6 @@ from .baselines import (
     gnb_classify,
     gnb_fit,
     kmeans,
-    knn_classify,
     linreg_fit,
     linreg_predict,
 )

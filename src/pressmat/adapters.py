@@ -63,7 +63,13 @@ def read_subjects_csv(path: str) -> dict[str, SubjectRecord]:
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) < len(header):
+                raise ValueError(
+                    f"{path}: line {lineno}: {len(row)} fields, header has {len(header)}"
+                )
             sid = row[cols["subject_id"]]
+            if sid in subjects:
+                raise ValueError(f"{path}: line {lineno}: duplicate subject_id {sid!r}")
             age_raw = row[cols["age_years"]] if "age_years" in cols else ""
             try:
                 subjects[sid] = SubjectRecord(
@@ -72,7 +78,7 @@ def read_subjects_csv(path: str) -> dict[str, SubjectRecord]:
                     weight_kg=float(row[cols["weight_kg"]]),
                     age_years=float(age_raw) if age_raw != "" else None,
                 )
-            except (ValueError, IndexError) as e:
+            except ValueError as e:
                 raise ValueError(f"{path}: line {lineno}: {e}") from e
     if not subjects:
         raise ValueError(f"{path}: no subjects found")

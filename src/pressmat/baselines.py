@@ -64,10 +64,6 @@ def knn_classify_batch(
     return out
 
 
-def knn_classify(train_x, train_y, query, k=10, metric="euclidean") -> int:
-    return int(knn_classify_batch(train_x, train_y, np.atleast_2d(query), k, metric)[0])
-
-
 @dataclass(frozen=True)
 class GaussianNBModel:
     log_priors: np.ndarray  # (C,)
@@ -190,13 +186,12 @@ def kmeans(
     k: int,
     restarts: int = 10,
     seed: int = 0,
-    standardize: bool = True,
     max_iter: int = 100,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd's algorithm, best of ``restarts`` by within-cluster sum of squares.
 
-    Points are z-scored per dimension before clustering (default); returned
-    centroids are mapped back to the input space.
+    Points are z-scored per dimension before clustering; returned centroids
+    are mapped back to the input space.
     """
     x = np.asarray(points, dtype=np.float64)
     if x.ndim != 2:
@@ -204,13 +199,8 @@ def kmeans(
     n = len(x)
     if k < 1 or k > n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
-    if standardize:
-        mean, std = zscore_fit(x)
-        xs = (x - mean) / std
-    else:
-        mean = np.zeros(x.shape[1])
-        std = np.ones(x.shape[1])
-        xs = x
+    mean, std = zscore_fit(x)
+    xs = (x - mean) / std
 
     rng = np.random.default_rng(seed)
     best = None
@@ -234,9 +224,7 @@ def build_bmi_classes(
     subjects,
     mode: str = "weight_height",
     k: int = 5,
-    restarts: int = 10,
     seed: int = 0,
-    standardize: bool = True,
 ) -> dict[str, int]:
     """Cluster subjects into k ordinal BMI classes (0 leanest .. k-1 heaviest).
 
@@ -259,7 +247,7 @@ def build_bmi_classes(
     else:
         points = np.array([[r.weight_kg, r.height_m] for r in records])
 
-    _, labels = kmeans(points, k, restarts=restarts, seed=seed, standardize=standardize)
+    _, labels = kmeans(points, k, seed=seed)
 
     bmis = np.array([r.bmi for r in records])
     cluster_ids = []

@@ -86,7 +86,6 @@ def _train_config(args) -> mtnet.TrainConfig:
     return mtnet.TrainConfig(
         max_iterations=args.max_iter,
         weight_decay=args.weight_decay,
-        optimizer=args.optimizer,
         lbfgs_memory=args.lbfgs_memory,
         seed=args.seed,
     )
@@ -142,7 +141,9 @@ def _build_recipe(args):
         return evalharness.MtnetRecipe(_train_config(args))
     if args.recipe == "knn":
         return evalharness.KnnRecipe(k=args.knn_k, metric=args.knn_metric)
-    return evalharness.make_recipe(args.recipe)
+    if args.recipe == "gnb":
+        return evalharness.GnbRecipe()
+    return evalharness.LinregRecipe()
 
 
 def cmd_importance(args) -> int:
@@ -184,7 +185,6 @@ def cmd_report(args) -> int:
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--optimizer", choices=mtnet.OPTIMIZERS, default="lbfgs")
     p.add_argument("--max-iter", type=int, default=14500)
     p.add_argument("--weight-decay", type=float, default=1e-4)
     p.add_argument("--lbfgs-memory", type=int, default=10)
@@ -256,8 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-fold-csv", default=None,
                    help="also write flat per-fold metrics for plotting tools")
     p.add_argument("--knn-k", type=int, default=10)
-    p.add_argument("--knn-metric", choices=("euclidean", "cosine", "minkowski3"),
-                   default="euclidean")
+    p.add_argument("--knn-metric", choices=baselines.KNN_METRICS, default="euclidean")
     _add_train_flags(p)
     p.set_defaults(func=cmd_eval)
 
@@ -269,8 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--knn-k", type=int, default=10)
-    p.add_argument("--knn-metric", choices=("euclidean", "cosine", "minkowski3"),
-                   default="euclidean")
+    p.add_argument("--knn-metric", choices=baselines.KNN_METRICS, default="euclidean")
     _add_train_flags(p)
     p.set_defaults(func=cmd_importance)
 

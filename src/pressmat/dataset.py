@@ -156,11 +156,15 @@ class Corpus:
             if sid != rec.subject_id:
                 raise ValueError(f"subjects dict key {sid!r} != record id {rec.subject_id!r}")
         frames = tuple(sorted(self.frames, key=lambda f: f.key))
+        prev_key = None
         for f in frames:
             if f.subject_id not in self.subjects:
                 raise ValueError(f"frame references unknown subject {f.subject_id!r}")
             if f.grid != self.grid:
                 raise ValueError(f"frame {f.key} grid differs from corpus grid")
+            if f.key == prev_key:
+                raise ValueError(f"duplicate frame key {f.key}")
+            prev_key = f.key
         object.__setattr__(self, "frames", frames)
 
     @property

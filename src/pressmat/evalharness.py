@@ -148,9 +148,10 @@ class MtnetRecipe:
         mtnet.fit_bmi_class_head(model, train.x, train.bmi_class,
                                  n_classes=train.n_bmi_classes)
         out = mtnet.forward(model, test.x)
-        id_pred = np.array(model.subject_ids)[out.identity_probs.argmax(axis=1)]
+        # Every fold trains on every subject, so the model's class order is
+        # the report's and its argmax is already the subject index.
         return {
-            "identity_pred": id_pred,
+            "identity_pred_idx": out.identity_probs.argmax(axis=1),
             "bmi_pred": out.bmi_estimate,
             "bmi_class_pred": mtnet.predict_bmi_class(model, test.x),
         }
@@ -201,18 +202,6 @@ class LinregRecipe:
     def run_fold(self, train: FoldData, test: FoldData, seed: int) -> dict:
         model = baselines.linreg_fit(train.x, train.bmi)
         return {"bmi_pred": baselines.linreg_predict(model, test.x)}
-
-
-def make_recipe(name: str, config: mtnet.TrainConfig | None = None, **kwargs):
-    if name == "mtnet":
-        return MtnetRecipe(config)
-    if name == "knn":
-        return KnnRecipe(**kwargs)
-    if name == "gnb":
-        return GnbRecipe()
-    if name == "linreg":
-        return LinregRecipe()
-    raise ValueError(f"unknown recipe {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -350,14 +339,8 @@ def run_cv(
             scalars: dict[str, float] = {}
             arrays: dict[str, list] = {}
 
-            if "identity_pred" in preds or "identity_pred_idx" in preds:
-                if "identity_pred_idx" in preds:
-                    pred_idx = np.asarray(preds["identity_pred_idx"], dtype=int)
-                else:
-                    sid_to_idx = {s: i for i, s in enumerate(class_order)}
-                    pred_idx = np.array(
-                        [sid_to_idx[s] for s in preds["identity_pred"]], dtype=int
-                    )
+            if "identity_pred_idx" in preds:
+                pred_idx = np.asarray(preds["identity_pred_idx"], dtype=int)
                 scalars["identity_accuracy"] = accuracy(pred_idx, test.subject_idx)
                 prf = per_class_prf(test.subject_idx, pred_idx, m_classes)
                 scalars["identity_precision_macro"] = prf["precision_macro"]

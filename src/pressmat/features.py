@@ -392,10 +392,13 @@ def load_feature_table(path: str) -> FeatureTable:
             if len(row) != len(FEATURES_CSV_HEADER):
                 raise ValueError(f"{path}: line {lineno}: wrong field count")
             subject_ids.append(row[0])
-            posture_ids.append(int(row[1]))
-            frame_indices.append(int(row[2]))
-            rows.append([float(c) if c != "" else np.nan for c in row[3:-1]])
-            bmi.append(float(row[-1]))
+            try:
+                posture_ids.append(int(row[1]))
+                frame_indices.append(int(row[2]))
+                rows.append([float(c) if c != "" else np.nan for c in row[3:-1]])
+                bmi.append(float(row[-1]))
+            except ValueError as e:
+                raise ValueError(f"{path}: line {lineno}: {e}") from e
     x = (
         np.asarray(rows, dtype=np.float64)
         if rows

@@ -1,15 +1,14 @@
-"""Minimizers over flat parameter vectors: L-BFGS with a strong-Wolfe line
-search, and a first-order adaptive method (Adam) for the optimizer ablation.
+"""Full-batch L-BFGS with a strong-Wolfe line search over flat parameter vectors.
 
 L-BFGS takes its direction from the compact representation of the
 limited-memory inverse Hessian (Byrd, Nocedal & Schnabel 1994): three GEMVs
 over one preallocated buffer of the stored pairs and two small triangular
 solves per iteration.
 
-The objective is a callable ``fun(x) -> (loss, grad)``. Both minimizers are
-deterministic functions of their inputs. Accepted L-BFGS iterates never
-increase the loss; when the Wolfe search fails the step falls back to
-backtracking steepest descent and the event is logged.
+The objective is a callable ``fun(x) -> (loss, grad)``. The minimizer is a
+deterministic function of its inputs. Accepted iterates never increase the
+loss; when the Wolfe search fails the step falls back to backtracking
+steepest descent and the event is logged.
 """
 
 import logging
@@ -270,41 +269,3 @@ def minimize_lbfgs(fun, x0, max_iterations, memory=10, grad_tol=1e-6,
         loss_history=history, line_search_failures=failures,
     )
 
-
-def minimize_adam(fun, x0, max_iterations, learning_rate=0.01, beta1=0.9,
-                  beta2=0.999, eps=1e-8, grad_tol=1e-6, loss_tol=1e-10,
-                  callback=None):
-    """Full-batch Adam; same stopping rules as the L-BFGS path."""
-    x = np.asarray(x0, dtype=np.float64).copy()
-    m = np.zeros_like(x)
-    v = np.zeros_like(x)
-    f, g = fun(x)
-    evals = 1
-    history = [float(f)]
-    stop = "max_iterations"
-    it = 0
-    for it in range(1, max_iterations + 1):
-        if float(np.abs(g).max()) < grad_tol:
-            stop = "grad_tol"
-            it -= 1
-            break
-        m = beta1 * m + (1.0 - beta1) * g
-        v = beta2 * v + (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1**it)
-        v_hat = v / (1.0 - beta2**it)
-        x = x - learning_rate * m_hat / (np.sqrt(v_hat) + eps)
-        f_new, g = fun(x)
-        evals += 1
-        rel = abs(f - f_new) / max(abs(f), abs(f_new), 1.0)
-        f = f_new
-        history.append(float(f))
-        if callback is not None:
-            callback(it, x, f, g)
-        if rel < loss_tol:
-            stop = "loss_tol"
-            break
-    return MinimizeResult(
-        x=x, loss=float(f), grad_norm=float(np.abs(g).max()),
-        n_iterations=it, n_evaluations=evals, stop_reason=stop,
-        loss_history=history,
-    )

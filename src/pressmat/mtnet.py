@@ -4,7 +4,7 @@ The trunk is five dense layers (64, 128, 256, 256, 256) with tanh; the
 identity head is softmax over the training subjects, the BMI head a single
 affine unit. Training minimizes the mean of per-sample cross-entropy plus
 half-squared BMI error, with an L2 penalty on weight matrices (biases
-excluded), by full-batch L-BFGS (default) or Adam.
+excluded), by full-batch L-BFGS.
 
 Inputs are z-scored per feature with statistics fit on the training data and
 stored in the model; an extra multinomial logistic head over the fifth-layer
@@ -24,23 +24,17 @@ from .dataset import atomic_write_text
 HIDDEN_SIZES = (64, 128, 256, 256, 256)
 LOG_EPS = 1e-12
 
-OPTIMIZERS = ("lbfgs", "adaptive")
-
 
 @dataclass(frozen=True)
 class TrainConfig:
     max_iterations: int = 14500
     weight_decay: float = 1e-4
-    optimizer: str = "lbfgs"
     lbfgs_memory: int = 10
     grad_tol: float = 1e-6
     loss_tol: float = 1e-10
-    learning_rate: float = 0.01  # adaptive optimizer only
     seed: int = 0
 
     def __post_init__(self):
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
         if self.max_iterations < 1 or self.lbfgs_memory < 1:
             raise ValueError("iteration cap and memory must be positive")
         if self.weight_decay < 0:
@@ -73,7 +67,6 @@ class MultitaskModel:
     feature_mask: tuple[bool, ...]
     config: TrainConfig
     class_head: BmiClassHead | None = None
-    grid_meta: dict | None = None
     train_result: lbfgs.MinimizeResult | None = field(default=None, repr=False)
 
     @property
@@ -122,22 +115,6 @@ def _unpack(theta: np.ndarray, dims):
     return weights, biases
 
 
-def normalize(model_or_stats, x: np.ndarray) -> np.ndarray:
-    mean, std = _norm_stats(model_or_stats)
-    return (np.asarray(x, dtype=np.float64) - mean) / std
-
-
-def denormalize(model_or_stats, xn: np.ndarray) -> np.ndarray:
-    mean, std = _norm_stats(model_or_stats)
-    return np.asarray(xn, dtype=np.float64) * std + mean
-
-
-def _norm_stats(model_or_stats):
-    if isinstance(model_or_stats, MultitaskModel):
-        return model_or_stats.norm_mean, model_or_stats.norm_std
-    return model_or_stats
-
-
 def _softmax_log(logits: np.ndarray) -> np.ndarray:
     m = logits.max(axis=1, keepdims=True)
     return logits - m - np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
@@ -158,13 +135,7 @@ def _forward_hidden(weights, biases, xn: np.ndarray) -> list[np.ndarray]:
 
 def forward(model: MultitaskModel, features: np.ndarray) -> MultitaskOutput:
     """Run the network on raw (unnormalized) active feature rows."""
-    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    if x.shape[1] != model.n_features:
-        raise ValueError(
-            f"model expects {model.n_features} features, got {x.shape[1]}"
-        )
-    xn = normalize(model, x)
-    h = _forward_hidden(model.weights, model.biases, xn)[-1]
+    h = hidden_activations(model, features)
     logits = h @ model.weights[-2] + model.biases[-2]
     logp = _softmax_log(logits)
     bmi = (h @ model.weights[-1] + model.biases[-1]).ravel()
@@ -176,23 +147,26 @@ def hidden_activations(model: MultitaskModel, features: np.ndarray) -> np.ndarra
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     if x.shape[1] != model.n_features:
         raise ValueError(f"model expects {model.n_features} features, got {x.shape[1]}")
-    return _forward_hidden(model.weights, model.biases, normalize(model, x))[-1]
+    xn = (x - model.norm_mean) / model.norm_std
+    return _forward_hidden(model.weights, model.biases, xn)[-1]
 
 
 # ---------------------------------------------------------------------------
 # Losses
 # ---------------------------------------------------------------------------
 
-def loss_subject(probs: np.ndarray, true_identity: int) -> float:
-    """Cross-entropy collapsed on a one-hot target: -log p[target]."""
-    p = float(probs[true_identity])
-    return -math.log(max(p, LOG_EPS))
+def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean softmax cross-entropy against integer labels, and its logit gradient.
 
-
-def loss_bmi(estimate: float, true_bmi: float) -> float:
-    """Half squared error."""
-    d = true_bmi - estimate
-    return 0.5 * d * d
+    Log-probabilities are floored at log(LOG_EPS).
+    """
+    n = logits.shape[0]
+    rows = np.arange(n)
+    logp = np.maximum(_softmax_log(logits), math.log(LOG_EPS))
+    dlogits = np.exp(logp)
+    dlogits[rows, labels] -= 1.0
+    dlogits /= n
+    return -logp[rows, labels].mean(), dlogits
 
 
 def _decay_term(weights, weight_decay: float) -> float:
@@ -205,12 +179,9 @@ def _batch_loss_grad(theta, dims, xn, y_idx, bmi, weight_decay):
     n = xn.shape[0]
     hs = _forward_hidden(weights, biases, xn)
     h = hs[-1]
-    logits = h @ weights[-2] + biases[-2]
-    logp = np.maximum(_softmax_log(logits), math.log(LOG_EPS))
+    ce, dlogits = _cross_entropy(h @ weights[-2] + biases[-2], y_idx)
     bhat = (h @ weights[-1] + biases[-1]).ravel()
 
-    rows = np.arange(n)
-    ce = -logp[rows, y_idx].mean()
     err = bhat - bmi
     mse = 0.5 * float(err @ err) / n
     loss = ce + mse + _decay_term(weights, weight_decay)
@@ -218,9 +189,6 @@ def _batch_loss_grad(theta, dims, xn, y_idx, bmi, weight_decay):
     grad = np.empty_like(theta)
     grad_w, grad_b = _unpack(grad, dims)
 
-    dlogits = np.exp(logp)
-    dlogits[rows, y_idx] -= 1.0
-    dlogits /= n
     dbhat = (err / n)[:, None]
 
     np.matmul(h.T, dlogits, out=grad_w[-2])
@@ -246,28 +214,6 @@ def _batch_loss_grad(theta, dims, xn, y_idx, bmi, weight_decay):
     return loss, grad
 
 
-def loss_total(model: MultitaskModel, features: np.ndarray, identities, bmi) -> float:
-    """Batch objective at the model's current parameters (raw features in)."""
-    xn = normalize(model, np.atleast_2d(features))
-    y_idx = _identity_indices(model.subject_ids, identities)
-    theta = _pack(model.weights, model.biases)
-    dims = _layer_dims(model.n_features, model.n_subjects)
-    loss, _ = _batch_loss_grad(theta, dims, xn, y_idx, np.asarray(bmi, dtype=float),
-                               model.config.weight_decay)
-    return loss
-
-
-def loss_gradient(model: MultitaskModel, features: np.ndarray, identities, bmi) -> np.ndarray:
-    """Analytic gradient of the batch objective w.r.t. the flat parameters."""
-    xn = normalize(model, np.atleast_2d(features))
-    y_idx = _identity_indices(model.subject_ids, identities)
-    theta = _pack(model.weights, model.biases)
-    dims = _layer_dims(model.n_features, model.n_subjects)
-    _, grad = _batch_loss_grad(theta, dims, xn, y_idx, np.asarray(bmi, dtype=float),
-                               model.config.weight_decay)
-    return grad
-
-
 def _identity_indices(subject_ids: tuple[str, ...], identities) -> np.ndarray:
     index = {sid: i for i, sid in enumerate(subject_ids)}
     try:
@@ -286,7 +232,6 @@ def train(
     bmi: np.ndarray,
     config: TrainConfig = TrainConfig(),
     feature_mask: tuple[bool, ...] | None = None,
-    grid_meta: dict | None = None,
 ) -> MultitaskModel:
     """Fit the multitask network on raw active feature rows.
 
@@ -319,18 +264,11 @@ def train(
     def fun(theta):
         return _batch_loss_grad(theta, dims, xn, y_idx, bmi, config.weight_decay)
 
-    if config.optimizer == "lbfgs":
-        result = lbfgs.minimize_lbfgs(
-            fun, theta0, max_iterations=config.max_iterations,
-            memory=config.lbfgs_memory, grad_tol=config.grad_tol,
-            loss_tol=config.loss_tol,
-        )
-    else:
-        result = lbfgs.minimize_adam(
-            fun, theta0, max_iterations=config.max_iterations,
-            learning_rate=config.learning_rate, grad_tol=config.grad_tol,
-            loss_tol=config.loss_tol,
-        )
+    result = lbfgs.minimize_lbfgs(
+        fun, theta0, max_iterations=config.max_iterations,
+        memory=config.lbfgs_memory, grad_tol=config.grad_tol,
+        loss_tol=config.loss_tol,
+    )
 
     weights, biases = _unpack(result.x.copy(), dims)
     return MultitaskModel(
@@ -341,7 +279,6 @@ def train(
         norm_std=std,
         feature_mask=tuple(feature_mask) if feature_mask is not None else None,
         config=config,
-        grid_meta=grid_meta,
         train_result=result,
     )
 
@@ -365,18 +302,14 @@ def fit_bmi_class_head(
             raise ValueError(f"BMI class {c} absent from training data")
 
     h = hidden_activations(model, features)
-    n, d = h.shape
+    d = h.shape[1]
     wd = model.config.weight_decay
-    rows = np.arange(n)
 
     def fun(theta):
         w = theta[: d * n_classes].reshape(d, n_classes)
         b = theta[d * n_classes:]
-        logp = np.maximum(_softmax_log(h @ w + b), math.log(LOG_EPS))
-        loss = -logp[rows, labels].mean() + wd * float((w * w).sum())
-        dlogits = np.exp(logp)
-        dlogits[rows, labels] -= 1.0
-        dlogits /= n
+        ce, dlogits = _cross_entropy(h @ w + b, labels)
+        loss = ce + wd * float((w * w).sum())
         gw = h.T @ dlogits + 2.0 * wd * w
         gb = dlogits.sum(axis=0)
         return loss, np.concatenate([gw.ravel(), gb])
@@ -408,7 +341,7 @@ def predict_bmi_class(model: MultitaskModel, features: np.ndarray) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 MODEL_FORMAT = "pressmat-multitask-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 
 def save_model(model: MultitaskModel, path: str) -> None:
@@ -425,11 +358,9 @@ def save_model(model: MultitaskModel, path: str) -> None:
         "config": {
             "max_iterations": model.config.max_iterations,
             "weight_decay": model.config.weight_decay,
-            "optimizer": model.config.optimizer,
             "lbfgs_memory": model.config.lbfgs_memory,
             "grad_tol": model.config.grad_tol,
             "loss_tol": model.config.loss_tol,
-            "learning_rate": model.config.learning_rate,
             "seed": model.config.seed,
         },
         "class_head": None
@@ -438,7 +369,6 @@ def save_model(model: MultitaskModel, path: str) -> None:
             "weight": model.class_head.weight.tolist(),
             "bias": model.class_head.bias.tolist(),
         },
-        "grid_meta": model.grid_meta,
     }
     atomic_write_text(path, json.dumps(doc, sort_keys=True) + "\n")
 
@@ -473,5 +403,4 @@ def load_model(path: str, expect_feature_mask: tuple[bool, ...] | None = None) -
         feature_mask=tuple(stored_mask) if stored_mask is not None else None,
         config=cfg,
         class_head=head,
-        grid_meta=doc.get("grid_meta"),
     )

@@ -57,14 +57,6 @@ class NoiseSpec:
         if not (0.0 <= self.dropout_prob <= 1.0):
             raise ValueError(f"dropout_prob must be in [0, 1], got {self.dropout_prob}")
 
-    @property
-    def is_zero(self) -> bool:
-        return (
-            self.multiplicative_sigma == 0.0
-            and self.dropout_prob == 0.0
-            and self.jitter_sigma_cells == 0.0
-        )
-
 
 @dataclass(frozen=True)
 class BodyModel:

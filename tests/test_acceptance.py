@@ -171,7 +171,7 @@ def test_criterion_2_gradient_matches_finite_differences():
     model = mtnet.train(X, subjects, bmi, mtnet.TrainConfig(max_iterations=1, seed=1))
 
     dims = mtnet._layer_dims(F, M)
-    xn = mtnet.normalize(model, X)
+    xn = (X - model.norm_mean) / model.norm_std
     y = mtnet._identity_indices(model.subject_ids, subjects)
     theta = mtnet._pack(model.weights, model.biases)
 

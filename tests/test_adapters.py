@@ -132,3 +132,15 @@ class TestSubjectsCsv:
         p.write_text("subject_id,height_m\nA,1.75\n")
         with pytest.raises(ValueError, match="weight_kg"):
             read_subjects_csv(str(p))
+
+    def test_duplicate_subject_cites_line(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_text("subject_id,height_m,weight_kg\nA,1.75,70\nB,1.80,80\nA,1.60,50\n")
+        with pytest.raises(ValueError, match=r"s\.csv: line 4: duplicate subject_id 'A'"):
+            read_subjects_csv(str(p))
+
+    def test_short_row_cites_line(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_text("subject_id,height_m,weight_kg,age_years\nA,1.75,70,30\nB,1.80\n")
+        with pytest.raises(ValueError, match=r"s\.csv: line 3: 2 fields, header has 4"):
+            read_subjects_csv(str(p))

@@ -10,7 +10,6 @@ from pressmat.baselines import (
     gnb_classify,
     gnb_fit,
     kmeans,
-    knn_classify,
     knn_classify_batch,
     linreg_fit,
     linreg_predict,
@@ -18,6 +17,11 @@ from pressmat.baselines import (
 from pressmat.dataset import SubjectRecord
 
 from conftest import make_subject
+
+
+def knn_classify(train_x, train_y, query, k=10, metric="euclidean") -> int:
+    """One query through the batch classifier."""
+    return int(knn_classify_batch(train_x, train_y, np.atleast_2d(query), k, metric)[0])
 
 
 def oracle_knn(train_x, train_y, query, k, metric):

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from pressmat.cli import main
+from pressmat.cli import _build_recipe, build_parser, main
 from pressmat.dataset import load_corpus
 from pressmat.features import load_feature_table
 
@@ -14,6 +14,15 @@ from pressmat.dataset import GridSpec
 
 def run(argv):
     return main(argv)
+
+
+def test_build_recipe_names():
+    parser = build_parser()
+    base = ["eval", "--features", "f.csv", "--seed", "1", "--report-out", "r.json"]
+    for name in ("mtnet", "knn", "gnb", "linreg"):
+        assert _build_recipe(parser.parse_args(base + ["--recipe", name])).name == name
+    with pytest.raises(SystemExit):
+        parser.parse_args(base + ["--recipe", "svm"])
 
 
 @pytest.fixture

@@ -241,3 +241,14 @@ class TestLoadErrors:
             fh.writelines(lines)
         with pytest.raises(CorpusLoadError, match=r"frames\.csv: line 3"):
             load_corpus(root)
+
+    def test_duplicate_frame_key_named(self, tiny_corpus, tmp_path):
+        root = self._write(tmp_path, tiny_corpus)
+        path = os.path.join(root, "frames.csv")
+        with open(path) as fh:
+            lines = fh.readlines()
+        lines.append(lines[2])
+        with open(path, "w") as fh:
+            fh.writelines(lines)
+        with pytest.raises(CorpusLoadError, match=r"duplicate frame key \('S01', 1, 1\)"):
+            load_corpus(root)

@@ -6,15 +6,47 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_demo(name: str) -> subprocess.CompletedProcess:
+def run_demo(name: str, cwd=None) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
         [sys.executable, str(ROOT / "demos" / name)],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=env, timeout=120, cwd=cwd,
     )
+
+
+def test_synthetic_corpus_demo(tmp_path):
+    proc = run_demo("01_synthetic_corpus.py", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "120 frames from 4 subjects" in lines
+    assert "  S02: height 1.91 m, weight 95.6 kg, BMI 26.3" in lines
+    assert "  S02:      84985   (BMI 26.3)" in lines
+    assert "wrote demo_corpus/ (manifest.json, subjects.csv, frames.csv)" in lines
+    assert (tmp_path / "demo_corpus" / "frames.csv").is_file()
+
+
+def test_denoising_demo():
+    proc = run_demo("02_denoising.py")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "glitch value before/after median: 900.0 -> 100.0" in lines
+    assert ("  smoothed: [' 127.2', ' 222.1', ' 301.3', ' 222.1', "
+            "' 154.5', ' 222.1', ' 301.3', ' 249.3']") in lines
+
+
+def test_multitask_training_demo():
+    # Training output past the first iterations depends on the BLAS thread
+    # count, so only lines that hold at any count are checked.
+    proc = run_demo("04_multitask_training.py")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("stopped after 200 iterations (max_iterations), ")
+    assert lines[1].startswith("loss: 357.082 -> ") and lines[1].endswith("(monotone: True)")
+    assert "training identity accuracy: 1.000" in lines
+    assert "BMI class head training accuracy: 1.000" in lines
 
 
 def test_features_and_isolines_demo():

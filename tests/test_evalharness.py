@@ -11,7 +11,6 @@ from pressmat.evalharness import (
     confusion_matrix,
     drop_column_importance,
     make_folds,
-    make_recipe,
     per_class_prf,
     r2,
     rmse,
@@ -284,11 +283,3 @@ class TestFoldFailures:
         with pytest.raises(TypeError, match="synthetic bug"):
             run_cv(table, BuggyRecipe(set()), plan, n_bmi_classes=3)
 
-
-def test_make_recipe_names():
-    assert make_recipe("knn").name == "knn"
-    assert make_recipe("gnb").name == "gnb"
-    assert make_recipe("linreg").name == "linreg"
-    assert make_recipe("mtnet").name == "mtnet"
-    with pytest.raises(ValueError):
-        make_recipe("svm")

@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -12,6 +13,9 @@ from pressmat.features import (
     extract_all,
     extract_contour_features,
     extract_statistical,
+    extract_table,
+    load_feature_table,
+    save_feature_table,
     select_contour_levels,
     trace_isolines,
 )
@@ -589,3 +593,19 @@ class TestExtractAll:
         v[rng.random((5, 5)) < 0.5] = 0.0
         vec = extract_all(make_frame(v))
         assert np.all(np.isfinite(vec))
+
+
+class TestFeatureTableLoad:
+    @pytest.mark.parametrize("column, bad", [(1, "x1"), (2, "2.5"), (5, "abc"), (-1, "nan?")])
+    def test_malformed_cell_cites_path_and_line(self, tiny_corpus, tmp_path, column, bad):
+        path = str(tmp_path / "features.csv")
+        save_feature_table(extract_table(tiny_corpus), path)
+        with open(path, newline="") as fh:
+            lines = fh.read().splitlines()
+        cells = lines[3].split(",")
+        cells[column] = bad
+        lines[3] = ",".join(cells)
+        with open(path, "w", newline="") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"features\.csv: line 4: .*{re.escape(bad)}"):
+            load_feature_table(path)

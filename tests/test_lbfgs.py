@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pressmat import lbfgs
-from pressmat.lbfgs import minimize_adam, minimize_lbfgs, strong_wolfe
+from pressmat.lbfgs import minimize_lbfgs, strong_wolfe
 
 
 def quadratic(A, b):
@@ -180,15 +180,3 @@ class TestLbfgs:
         assert res.stop_reason == "grad_tol"
         assert res.n_iterations == 0
 
-
-class TestAdam:
-    def test_quadratic_descends(self):
-        fun = quadratic(np.eye(4), np.ones(4))
-        res = minimize_adam(fun, np.zeros(4), max_iterations=500, learning_rate=0.05)
-        assert res.loss < 0.05
-
-    def test_deterministic(self):
-        fun = quadratic(np.eye(4), np.ones(4))
-        r1 = minimize_adam(fun, np.zeros(4), max_iterations=100)
-        r2 = minimize_adam(fun, np.zeros(4), max_iterations=100)
-        assert np.array_equal(r1.x, r2.x)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -10,13 +11,31 @@ from pressmat.mtnet import (
     forward,
     hidden_activations,
     load_model,
-    loss_bmi,
-    loss_subject,
-    loss_total,
     predict_bmi_class,
     save_model,
     train,
 )
+
+
+def loss_subject(probs: np.ndarray, true_identity: int) -> float:
+    """Per-sample cross-entropy on a one-hot target: -log p[target], floored."""
+    return -math.log(max(float(probs[true_identity]), mtnet.LOG_EPS))
+
+
+def loss_bmi(estimate: float, true_bmi: float) -> float:
+    """Per-sample half squared error."""
+    d = true_bmi - estimate
+    return 0.5 * d * d
+
+
+def batch_loss_grad(model, features, identities, bmi):
+    """The training objective and its gradient at the model's parameters."""
+    xn = (np.atleast_2d(features) - model.norm_mean) / model.norm_std
+    y_idx = mtnet._identity_indices(model.subject_ids, identities)
+    theta = mtnet._pack(model.weights, model.biases)
+    dims = mtnet._layer_dims(model.n_features, model.n_subjects)
+    return mtnet._batch_loss_grad(theta, dims, xn, y_idx, np.asarray(bmi, dtype=float),
+                                  model.config.weight_decay)
 
 
 def random_model(n=8, F=14, M=5, seed=42, weight_decay=1e-4):
@@ -60,36 +79,60 @@ class TestForward:
 
 class TestLosses:
     def test_loss_subject_uniform(self):
-        probs = np.full(13, 1.0 / 13.0)
-        assert loss_subject(probs, 4) == pytest.approx(math.log(13))
+        ce, _ = mtnet._cross_entropy(np.zeros((1, 13)), np.array([4]))
+        assert ce == pytest.approx(math.log(13))
+        assert loss_subject(np.full(13, 1.0 / 13.0), 4) == pytest.approx(math.log(13))
 
     def test_loss_subject_perfect_and_half(self):
-        p = np.zeros(5)
-        p[2] = 1.0
-        assert loss_subject(p, 2) == 0.0
-        assert loss_subject(np.array([0.5, 0.5]), 0) == pytest.approx(math.log(2))
+        ce, dlogits = mtnet._cross_entropy(np.array([[0.0, 0.0, 800.0, 0.0, 0.0]]),
+                                           np.array([2]))
+        assert ce == 0.0
+        np.testing.assert_allclose(dlogits, 0.0, atol=2 * mtnet.LOG_EPS)
+        ce, dlogits = mtnet._cross_entropy(np.zeros((2, 2)), np.array([0, 1]))
+        assert ce == pytest.approx(math.log(2))
+        np.testing.assert_allclose(dlogits, [[-0.25, 0.25], [0.25, -0.25]])
 
     def test_loss_subject_clamps_zero(self):
-        p = np.array([1.0, 0.0])
-        assert loss_subject(p, 1) == pytest.approx(-math.log(1e-12))
+        ce, _ = mtnet._cross_entropy(np.array([[0.0, -800.0]]), np.array([1]))
+        assert ce == pytest.approx(-math.log(mtnet.LOG_EPS))
+        assert loss_subject(np.array([1.0, 0.0]), 1) == pytest.approx(-math.log(1e-12))
 
     def test_loss_bmi(self):
-        assert loss_bmi(22.0, 22.0) == 0.0
+        # the BMI term is the mean half squared error of the BMI head
+        model, X, subjects, _ = random_model(weight_decay=0.0)
+        est = forward(model, X).bmi_estimate
+        offsets = np.array([0.0, 2.0, -7.0, 0.0, 1.0, 0.0, 0.0, 3.0])
+        exact, _ = batch_loss_grad(model, X, subjects, est)
+        shifted, _ = batch_loss_grad(model, X, subjects, est + offsets)
+        assert shifted - exact == pytest.approx(0.5 * (offsets**2).mean(), rel=1e-9)
         assert loss_bmi(20.0, 22.0) == pytest.approx(2.0)
-        assert loss_bmi(0.0, 7.0) == pytest.approx(7.0**2 / 2)
+
+    def test_batch_loss_matches_per_sample_oracle(self):
+        model, X, subjects, bmi = random_model(n=12, M=4, weight_decay=1e-3)
+        # push subject P3's logit far down so its probability falls under LOG_EPS
+        model.biases[-2][3] -= 80.0
+        out = forward(model, X)
+        p3 = out.identity_probs[subjects == "P3", 3]
+        assert len(p3) and np.all(p3 < mtnet.LOG_EPS)
+        idx = mtnet._identity_indices(model.subject_ids, subjects)
+        per_sample = [loss_subject(out.identity_probs[i], idx[i])
+                      + loss_bmi(out.bmi_estimate[i], bmi[i]) for i in range(len(X))]
+        decay = 1e-3 * sum(float((w * w).sum()) for w in model.weights)
+        loss, _ = batch_loss_grad(model, X, subjects, bmi)
+        assert loss == pytest.approx(math.fsum(per_sample) / len(X) + decay, rel=1e-12)
 
     def test_loss_total_perfect_zero_decay(self):
         model, X, subjects, bmi = random_model(weight_decay=0.0)
         out = forward(model, X)
         # build a batch the model predicts perfectly: use its own outputs
         pred_sid = np.array(model.subject_ids)[out.identity_probs.argmax(1)]
-        total = loss_total(model, X, pred_sid, out.bmi_estimate)
+        total, _ = batch_loss_grad(model, X, pred_sid, out.bmi_estimate)
         ce_floor = -np.log(out.identity_probs.max(axis=1)).mean()
         assert total == pytest.approx(ce_floor, abs=1e-12)
 
     def test_loss_total_decay_term(self):
         model, X, subjects, bmi = random_model(weight_decay=1e-4)
-        base = loss_total(model, X, subjects, bmi)
+        base, _ = batch_loss_grad(model, X, subjects, bmi)
         sq = sum(float((w * w).sum()) for w in model.weights)
         model2, *_ = random_model(weight_decay=0.0)
         for w2, w1 in zip(model2.weights, model.weights):
@@ -98,13 +141,13 @@ class TestLosses:
             b2[:] = b1
         model2.norm_mean[:] = model.norm_mean
         model2.norm_std[:] = model.norm_std
-        no_decay = loss_total(model2, X, subjects, bmi)
+        no_decay, _ = batch_loss_grad(model2, X, subjects, bmi)
         assert base - no_decay == pytest.approx(1e-4 * sq, rel=1e-9)
 
     def test_duplicated_batch_same_gradient(self):
         model, X, subjects, bmi = random_model()
-        g1 = mtnet.loss_gradient(model, X, subjects, bmi)
-        g2 = mtnet.loss_gradient(
+        _, g1 = batch_loss_grad(model, X, subjects, bmi)
+        _, g2 = batch_loss_grad(
             model,
             np.vstack([X, X]),
             np.concatenate([subjects, subjects]),
@@ -116,7 +159,7 @@ class TestLosses:
 class TestGradient:
     def test_matches_finite_differences(self):
         model, X, subjects, bmi = random_model(n=8, F=14, M=5, seed=7)
-        xn = mtnet.normalize(model, X)
+        xn = (X - model.norm_mean) / model.norm_std
         y = mtnet._identity_indices(model.subject_ids, subjects)
         dims = mtnet._layer_dims(14, 5)
         theta = mtnet._pack(model.weights, model.biases)
@@ -140,7 +183,7 @@ class TestGradient:
         model, X, subjects, bmi = random_model(weight_decay=1e-3)
         theta = mtnet._pack(model.weights, model.biases)
         dims = mtnet._layer_dims(14, 5)
-        xn = mtnet.normalize(model, X)
+        xn = (X - model.norm_mean) / model.norm_std
         y = mtnet._identity_indices(model.subject_ids, subjects)
         _, g_with = mtnet._batch_loss_grad(theta, dims, xn, y, bmi, 1e-3)
         _, g_without = mtnet._batch_loss_grad(theta, dims, xn, y, bmi, 0.0)
@@ -187,24 +230,17 @@ class TestTraining:
         for a, b in zip(m1.weights + m1.biases, m2.weights + m2.biases):
             assert np.array_equal(a, b)
 
-    def test_adaptive_optimizer_descends(self):
-        rng = np.random.default_rng(6)
-        X = rng.normal(size=(20, 5))
-        subjects = np.array(["A", "B"] * 10)
-        bmi = rng.uniform(18, 35, size=20)
-        cfg = TrainConfig(max_iterations=100, optimizer="adaptive", seed=2)
-        model = train(X, subjects, bmi, cfg)
-        hist = model.train_result.loss_history
-        assert hist[-1] < hist[0]
-
     def test_single_subject_rejected(self):
         with pytest.raises(ValueError):
             train(np.zeros((4, 3)), ["A"] * 4, np.full(4, 22.0), TrainConfig())
 
     def test_normalization_round_trip(self):
+        # the stored statistics z-score the training rows and map them back
         model, X, *_ = random_model()
-        back = mtnet.denormalize(model, mtnet.normalize(model, X))
-        np.testing.assert_allclose(back, X, atol=1e-12)
+        xn = (X - model.norm_mean) / model.norm_std
+        np.testing.assert_allclose(xn.mean(axis=0), 0.0, atol=1e-12)
+        np.testing.assert_allclose(xn.std(axis=0), 1.0, atol=1e-12)
+        np.testing.assert_allclose(xn * model.norm_std + model.norm_mean, X, atol=1e-12)
 
 
 class TestBmiClassHead:
@@ -289,3 +325,16 @@ class TestSerialization:
         wrong = tuple(i != 0 for i in range(14))
         with pytest.raises(ValueError, match="mask"):
             load_model(path, expect_feature_mask=wrong)
+
+    def test_version_1_file_rejected(self, tmp_path):
+        model, *_ = random_model()
+        path = tmp_path / "model.json"
+        save_model(model, str(path))
+        doc = json.loads(path.read_text())
+        assert doc["version"] == 2 and "optimizer" not in doc["config"]
+        doc["version"] = 1
+        doc["config"].update(optimizer="lbfgs", learning_rate=0.01)
+        doc["grid_meta"] = None
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="unsupported model version 1"):
+            load_model(str(path))
