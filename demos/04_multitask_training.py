@@ -45,7 +45,7 @@ print(f"\ntraining identity accuracy: {acc:.3f}")
 print(f"training BMI RMSE: {np.sqrt((err ** 2).mean()):.3f}")
 
 # the 5-way BMI class head on fifth-layer activations
-classes = build_bmi_classes(corpus.subjects, mode="weight_height", k=5, seed=0)
+classes = build_bmi_classes(table.bmi_by_subject(), k=5, seed=0)
 labels = np.array([classes[s] for s in table.subject_ids])
 fit_bmi_class_head(model, X, labels)
 cls_acc = (predict_bmi_class(model, X) == labels).mean()

@@ -5,6 +5,7 @@ All tie-breaking is pinned (distance ties by training order, vote and argmax
 ties by smallest class id) so results are platform-deterministic.
 """
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,39 +218,20 @@ def kmeans(
 # BMI class construction
 # ---------------------------------------------------------------------------
 
-CLASS_MODES = ("bmi", "age_bmi", "weight_height")
-
-
 def build_bmi_classes(
-    subjects,
-    mode: str = "weight_height",
+    bmi_by_subject: Mapping[str, float],
     k: int = 5,
     seed: int = 0,
 ) -> dict[str, int]:
-    """Cluster subjects into k ordinal BMI classes (0 leanest .. k-1 heaviest).
+    """Cluster subjects' BMI values into k ordinal classes (0 leanest .. k-1 heaviest).
 
-    ``mode`` picks the clustered representation; classes are relabeled in
-    ascending order of the member subjects' mean BMI so ids are ordinal.
+    Subjects are clustered in id order; classes are relabeled in ascending
+    order of their members' mean BMI so ids are ordinal.
     """
-    if isinstance(subjects, dict):
-        records = [subjects[sid] for sid in sorted(subjects)]
-    else:
-        records = sorted(subjects, key=lambda r: r.subject_id)
-    if mode not in CLASS_MODES:
-        raise ValueError(f"mode must be one of {CLASS_MODES}")
-    if mode == "age_bmi":
-        missing = [r.subject_id for r in records if r.age_years is None]
-        if missing:
-            raise ValueError(f"age_bmi mode needs ages; missing for {missing}")
-        points = np.array([[r.age_years, r.bmi] for r in records])
-    elif mode == "bmi":
-        points = np.array([[r.bmi] for r in records])
-    else:
-        points = np.array([[r.weight_kg, r.height_m] for r in records])
+    subject_ids = sorted(bmi_by_subject)
+    bmis = np.array([bmi_by_subject[s] for s in subject_ids], dtype=np.float64)
+    _, labels = kmeans(bmis[:, None], k, seed=seed)
 
-    _, labels = kmeans(points, k, seed=seed)
-
-    bmis = np.array([r.bmi for r in records])
     cluster_ids = []
     for c in range(k):
         members = bmis[labels == c]
@@ -259,4 +241,4 @@ def build_bmi_classes(
             )
         cluster_ids.append((float(members.mean()), c))
     order = {c: rank for rank, (_, c) in enumerate(sorted(cluster_ids))}
-    return {r.subject_id: order[int(labels[i])] for i, r in enumerate(records)}
+    return {sid: order[int(labels[i])] for i, sid in enumerate(subject_ids)}

@@ -101,9 +101,9 @@ def cmd_train(args) -> int:
         config,
         feature_mask=table.mask,
     )
-    subjects = evalharness._subject_records(table)
+    bmi_by_subject = table.bmi_by_subject()
     class_map = baselines.build_bmi_classes(
-        subjects, mode="bmi", k=min(args.bmi_classes, len(subjects)), seed=args.seed
+        bmi_by_subject, k=min(args.bmi_classes, len(bmi_by_subject)), seed=args.seed
     )
     labels = np.array([class_map[s] for s in table.subject_ids], dtype=int)
     mtnet.fit_bmi_class_head(model, table.active_matrix(), labels,

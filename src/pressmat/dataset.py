@@ -28,6 +28,9 @@ MANIFEST_NAME = "manifest.json"
 SUBJECTS_NAME = "subjects.csv"
 FRAMES_NAME = "frames.csv"
 
+# Open interval of plausible BMI values (kg/m^2); anything outside is bad input.
+BMI_BAND = (10.0, 60.0)
+
 N_RAW_POSTURES = 17
 N_POSTURE_GROUPS = 10
 
@@ -124,9 +127,10 @@ class SubjectRecord:
                 f"weight/height^2 = {bmi}"
             )
         object.__setattr__(self, "bmi", bmi)
-        if not (10.0 < bmi < 60.0):
+        lo, hi = BMI_BAND
+        if not (lo < bmi < hi):
             raise ValueError(
-                f"subject {self.subject_id}: bmi {bmi:.2f} outside sanity band (10, 60)"
+                f"subject {self.subject_id}: bmi {bmi:.2f} outside sanity band ({lo:g}, {hi:g})"
             )
 
 
@@ -171,9 +175,6 @@ class Corpus:
     def subject_ids(self) -> list[str]:
         return sorted(self.subjects)
 
-    def bmi_of(self, subject_id: str) -> float:
-        return self.subjects[subject_id].bmi
-
 
 def compute_bmi(weight_kg: float, height_m: float) -> float:
     """Body mass index, kg/m^2."""
@@ -188,9 +189,6 @@ def compute_bmi(weight_kg: float, height_m: float) -> float:
 # Posture grouping
 # ---------------------------------------------------------------------------
 
-_posture_table_cache: dict[int, int] | None = None
-
-
 def load_posture_table(path: str | None = None) -> dict[int, int]:
     """17->10 posture group table; the default ships with the package.
 
@@ -198,10 +196,7 @@ def load_posture_table(path: str | None = None) -> dict[int, int]:
     fold into the group of their flat analog. The table is a plain JSON object
     so deployments can swap it without touching code.
     """
-    global _posture_table_cache
     if path is None:
-        if _posture_table_cache is not None:
-            return dict(_posture_table_cache)
         text = resources.files(__package__).joinpath("posture_groups.json").read_text()
     else:
         with open(path, "r", encoding="utf-8") as fh:
@@ -215,8 +210,6 @@ def load_posture_table(path: str | None = None) -> dict[int, int]:
     for base in range(1, N_POSTURE_GROUPS + 1):
         if table[base] != base:
             raise ValueError(f"base posture {base} must map to itself, got {table[base]}")
-    if path is None:
-        _posture_table_cache = dict(table)
     return table
 
 

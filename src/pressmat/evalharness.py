@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import baselines, mtnet
-from .dataset import SubjectRecord, atomic_write_text
+from .dataset import atomic_write_text
 from .features import FEATURE_NAMES, FeatureTable
 
 
@@ -130,7 +130,7 @@ class FoldData:
     subject_idx: np.ndarray  # (n,) int index into the class order
     bmi: np.ndarray          # (n,)
     bmi_class: np.ndarray    # (n,) int in 0..n_bmi_classes-1
-    n_bmi_classes: int = 5
+    n_bmi_classes: int
 
 
 class MtnetRecipe:
@@ -273,44 +273,25 @@ def _fold_data(table: FeatureTable, idx: np.ndarray, class_order: list[str],
     )
 
 
-def _subject_records(table: FeatureTable):
-    """Reconstruct minimal subject records (id -> bmi) for class construction.
-
-    Weight/height are not stored in the feature table, so the BMI-space
-    clustering runs on the BMI values; the ordinal relabeling is unchanged.
-    """
-    records = {}
-    for sid in sorted(set(table.subject_ids.tolist())):
-        b = float(table.bmi[table.subject_ids == sid][0])
-        # synthesize a consistent (height, weight) pair: height 1.7 m reference
-        records[sid] = SubjectRecord(sid, 1.7, b * 1.7 * 1.7)
-    return records
-
-
 def run_cv(
     table: FeatureTable,
     recipe,
     plan: FoldPlan,
-    class_mode: str = "bmi",
-    subjects: dict | None = None,
     n_bmi_classes: int = N_BMI_CLASSES,
     config_echo: dict | None = None,
 ) -> EvaluationReport:
     """Train/test the recipe on every fold and aggregate metrics.
 
-    ``subjects`` (id -> SubjectRecord) enables the weight/height class modes;
-    without it, BMI classes are clustered from the table's BMI column. A fold
-    that raises ``ValueError`` (bad data; ``np.linalg.LinAlgError`` is one) is
-    recorded and skipped, and two such failures abort the run. Any other
-    exception is a programming error and propagates.
+    Each fold clusters the subjects' BMI values into ``n_bmi_classes``
+    classes, seeded by ``plan.seed + fold``. A fold that raises ``ValueError``
+    (bad data; ``np.linalg.LinAlgError`` is one) is recorded and skipped, and
+    two such failures abort the run. Any other exception is a programming
+    error and propagates.
     """
     class_order = sorted(set(table.subject_ids.tolist()))
     per_fold: list[dict] = []
     failed: list[dict] = []
-
-    subject_records = subjects if subjects is not None else _subject_records(table)
-    if class_mode != "bmi" and subjects is None:
-        raise ValueError(f"class mode {class_mode!r} needs subject records")
+    bmi_by_subject = table.bmi_by_subject()
 
     # confusion classes for identity
     m_classes = len(class_order)
@@ -327,10 +308,8 @@ def run_cv(
             missing = [s for s in class_order if s not in train_subject_set]
             if missing:
                 raise ValueError(f"fold {fold}: subjects {missing} absent from training")
-            train_records = {s: subject_records[s] for s in sorted(train_subject_set)}
             class_map = baselines.build_bmi_classes(
-                train_records, mode=class_mode, k=n_bmi_classes,
-                seed=plan.seed + fold,
+                bmi_by_subject, k=n_bmi_classes, seed=plan.seed + fold
             )
             train = _fold_data(table, tr_idx, class_order, class_map, n_bmi_classes)
             test = _fold_data(table, te_idx, class_order, class_map, n_bmi_classes)
@@ -399,7 +378,7 @@ def run_cv(
     echo.setdefault("recipe", getattr(recipe, "name", type(recipe).__name__))
     echo.setdefault("n_folds", plan.n_folds)
     echo.setdefault("seed", plan.seed)
-    echo.setdefault("class_mode", class_mode)
+    echo.setdefault("class_mode", "bmi")
     echo.setdefault("feature_mask", list(table.mask))
     return EvaluationReport(
         config_echo=echo,
@@ -414,8 +393,6 @@ def drop_column_importance(
     table: FeatureTable,
     recipe,
     plan: FoldPlan,
-    class_mode: str = "bmi",
-    subjects: dict | None = None,
     n_bmi_classes: int = N_BMI_CLASSES,
 ) -> dict[str, dict[str, float]]:
     """Metric change when each active feature is removed and the CV rerun.
@@ -423,8 +400,7 @@ def drop_column_importance(
     Positive values mean the feature helps (removing it hurts); negative
     values are permitted.
     """
-    full = run_cv(table, recipe, plan, class_mode=class_mode, subjects=subjects,
-                  n_bmi_classes=n_bmi_classes)
+    full = run_cv(table, recipe, plan, n_bmi_classes=n_bmi_classes)
 
     def metric(report, name):
         entry = report.aggregate["scalars"].get(name)
@@ -436,8 +412,7 @@ def drop_column_importance(
     out: dict[str, dict[str, float]] = {}
     for j in table.active_indices:
         reduced = table.with_feature_dropped(int(j))
-        rep = run_cv(reduced, recipe, plan, class_mode=class_mode, subjects=subjects,
-                     n_bmi_classes=n_bmi_classes)
+        rep = run_cv(reduced, recipe, plan, n_bmi_classes=n_bmi_classes)
         entry: dict[str, float] = {}
         if full_acc is not None:
             entry["identity_accuracy"] = full_acc - metric(rep, "identity_accuracy")

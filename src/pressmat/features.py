@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import FEATURE_COUNT, Corpus, PressureFrame, atomic_write_text
+from .dataset import BMI_BAND, FEATURE_COUNT, Corpus, PressureFrame, atomic_write_text
 
 FEATURE_NAMES = (
     "max",
@@ -311,6 +311,11 @@ class FeatureTable:
     def active_indices(self) -> np.ndarray:
         return np.nonzero(np.asarray(self.mask, dtype=bool))[0]
 
+    def bmi_by_subject(self) -> dict[str, float]:
+        """Each subject's BMI, taken from its first row."""
+        sids, first = np.unique(self.subject_ids, return_index=True)
+        return {sid: float(self.bmi[i]) for sid, i in zip(sids.tolist(), first)}
+
     def active_matrix(self) -> np.ndarray:
         """The unmasked feature columns, the model-facing input."""
         return self.X[:, self.active_indices]
@@ -343,7 +348,7 @@ def extract_table(corpus: Corpus) -> FeatureTable:
         posture_ids=np.array([f.posture_id for f in corpus.frames], dtype=int),
         frame_indices=np.array([f.frame_index for f in corpus.frames], dtype=int),
         X=x,
-        bmi=np.array([corpus.bmi_of(f.subject_id) for f in corpus.frames]),
+        bmi=np.array([corpus.subjects[f.subject_id].bmi for f in corpus.frames]),
         mask=corpus.feature_mask,
     )
 
@@ -375,12 +380,18 @@ def save_feature_table(table: FeatureTable, path: str) -> None:
 
 
 def load_feature_table(path: str) -> FeatureTable:
-    """Read features.csv; a uniformly empty feature column is a masked feature."""
+    """Read features.csv; a uniformly empty feature column is a masked feature.
+
+    Every non-empty feature cell must be finite, every BMI inside
+    ``BMI_BAND``, and all of a subject's rows must state the same BMI.
+    """
+    lo, hi = BMI_BAND
     subject_ids: list[str] = []
     posture_ids: list[int] = []
     frame_indices: list[int] = []
     rows: list[list[float]] = []
     bmi: list[float] = []
+    first_bmi: dict[str, tuple[float, int]] = {}
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -391,12 +402,28 @@ def load_feature_table(path: str) -> FeatureTable:
                 continue
             if len(row) != len(FEATURES_CSV_HEADER):
                 raise ValueError(f"{path}: line {lineno}: wrong field count")
-            subject_ids.append(row[0])
+            sid = row[0]
+            subject_ids.append(sid)
             try:
                 posture_ids.append(int(row[1]))
                 frame_indices.append(int(row[2]))
-                rows.append([float(c) if c != "" else np.nan for c in row[3:-1]])
-                bmi.append(float(row[-1]))
+                cells = row[3:-1]
+                values = [float(c) if c != "" else np.nan for c in cells]
+                if not all(map(math.isfinite, values)):  # empty (masked) cells are NaN
+                    for c, v in zip(cells, values):
+                        if c != "" and not math.isfinite(v):
+                            raise ValueError(f"non-finite feature cell {c!r}")
+                rows.append(values)
+                b = float(row[-1])
+                if not (lo < b < hi):
+                    raise ValueError(f"bmi {row[-1]!r} outside sanity band ({lo:g}, {hi:g})")
+                prev = first_bmi.setdefault(sid, (b, lineno))
+                if b != prev[0]:
+                    raise ValueError(
+                        f"subject {sid!r} bmi {row[-1]!r} differs from "
+                        f"{prev[0]!r} on line {prev[1]}"
+                    )
+                bmi.append(b)
             except ValueError as e:
                 raise ValueError(f"{path}: line {lineno}: {e}") from e
     x = (

@@ -14,9 +14,8 @@ from pressmat.baselines import (
     linreg_fit,
     linreg_predict,
 )
-from pressmat.dataset import SubjectRecord
-
-from conftest import make_subject
+from pressmat.dataset import GridSpec, SubjectRecord
+from pressmat.synthgen import NoiseSpec, generate_corpus
 
 
 def knn_classify(train_x, train_y, query, k=10, metric="euclidean") -> int:
@@ -211,41 +210,42 @@ class TestKmeans:
         assert all(b <= a + 1e-9 for a, b in zip(history, history[1:]))
 
 
+def oracle_bmi_classes(bmi_by_subject, k, seed):
+    """The former path: 1.7 m subject records, cluster [[r.bmi]], relabel by mean BMI."""
+    records = [SubjectRecord(s, 1.7, b * 1.7 * 1.7) for s, b in sorted(bmi_by_subject.items())]
+    _, labels = kmeans(np.array([[r.bmi] for r in records]), k, seed=seed)
+    bmis = np.array([r.bmi for r in records])
+    cluster_ids = []
+    for c in range(k):
+        members = bmis[labels == c]
+        if len(members) == 0:
+            raise ValueError("insufficient diversity: k-means left an empty BMI class")
+        cluster_ids.append((float(members.mean()), c))
+    order = {c: rank for rank, (_, c) in enumerate(sorted(cluster_ids))}
+    return {r.subject_id: order[int(labels[i])] for i, r in enumerate(records)}
+
+
 class TestBuildBmiClasses:
     def test_five_singletons_in_order(self):
-        subs = {
-            f"S{i}": SubjectRecord(f"S{i}", 1.7, b * 1.7 * 1.7)
-            for i, b in enumerate([18.0, 22.0, 26.0, 30.0, 34.0])
-        }
-        classes = build_bmi_classes(subs, mode="bmi", k=5, seed=0)
+        bmi = {f"S{i}": b for i, b in enumerate([18.0, 22.0, 26.0, 30.0, 34.0])}
+        classes = build_bmi_classes(bmi, k=5, seed=0)
         ordered = [classes[f"S{i}"] for i in range(5)]
         assert ordered == [0, 1, 2, 3, 4]
 
     def test_identical_subjects_insufficient_diversity(self):
-        subs = {f"S{i}": SubjectRecord(f"S{i}", 1.7, 70.0) for i in range(6)}
+        bmi = {f"S{i}": 70.0 / 1.7**2 for i in range(6)}
         with pytest.raises(ValueError, match="insufficient diversity"):
-            build_bmi_classes(subs, mode="bmi", k=5, seed=0)
+            build_bmi_classes(bmi, k=5, seed=0)
+        with pytest.raises(ValueError, match="insufficient diversity"):
+            oracle_bmi_classes(bmi, k=5, seed=0)
 
-    def test_weight_height_mode_default(self):
-        rng = np.random.default_rng(10)
-        subs = {}
-        for i in range(13):
-            h = rng.uniform(1.55, 1.95)
-            w = rng.uniform(50, 105)
-            subs[f"S{i:02d}"] = SubjectRecord(f"S{i:02d}", h, w)
-        classes = build_bmi_classes(subs, seed=1)
-        assert set(classes.values()) == {0, 1, 2, 3, 4}
-        # ordinality: class means sorted by BMI
-        means = []
-        for c in range(5):
-            bmis = [subs[s].bmi for s, cls in classes.items() if cls == c]
-            means.append(np.mean(bmis))
-        assert means == sorted(means)
-
-    def test_age_mode_requires_ages(self):
-        subs = {
-            "A": make_subject("A", age=30.0),
-            "B": SubjectRecord("B", 1.8, 80.0, age_years=None),
-        }
-        with pytest.raises(ValueError, match="B"):
-            build_bmi_classes(subs, mode="age_bmi", k=2, seed=0)
+    @pytest.mark.parametrize("cohort_seed", [20240901, 0, 1, 3, 7])
+    def test_matches_subject_record_oracle(self, cohort_seed):
+        # the benchmark's cohort is seed 20240901 on this grid
+        cohort = generate_corpus(8, 1, ("supine",), NoiseSpec(0.0, 0.0, 0.0),
+                                 GridSpec(32, 64, 1000.0, 1.5), seed=cohort_seed).subjects
+        bmi = {sid: rec.bmi for sid, rec in cohort.items()}
+        for k in range(2, 6):
+            for seed in range(40):
+                assert build_bmi_classes(bmi, k=k, seed=seed) == \
+                    oracle_bmi_classes(bmi, k=k, seed=seed), (k, seed)
