@@ -3,7 +3,8 @@ classical baselines, plus drop-column feature importance.
 
 Folds are frame-level and stratified per subject (every subject stays in
 every training split, which identity classification requires).
-Normalization and BMI class construction are refit inside each fold.
+Normalization is refit inside each fold; the BMI classes re-cluster every
+subject's table-wide BMI in each fold with seed ``plan.seed + fold``.
 """
 
 import numpy as np

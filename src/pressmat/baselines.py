@@ -11,6 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 KNN_METRICS = ("euclidean", "cosine", "minkowski3")
+GNB_VAR_FLOOR = 1e-9    # keeps a constant feature's Gaussian finite
+KMEANS_MAX_ITER = 100   # Lloyd iterations per restart
 
 
 def zscore_fit(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -72,8 +74,7 @@ class GaussianNBModel:
     variances: np.ndarray   # (C, F), floored
 
 
-def gnb_fit(x: np.ndarray, y: np.ndarray, n_classes: int | None = None,
-            var_floor: float = 1e-9) -> GaussianNBModel:
+def gnb_fit(x: np.ndarray, y: np.ndarray, n_classes: int | None = None) -> GaussianNBModel:
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=int)
     if n_classes is None:
@@ -87,7 +88,7 @@ def gnb_fit(x: np.ndarray, y: np.ndarray, n_classes: int | None = None,
     for c in range(n_classes):
         xc = x[y == c]
         means[c] = xc.mean(axis=0)
-        variances[c] = np.maximum(xc.var(axis=0), var_floor)
+        variances[c] = np.maximum(xc.var(axis=0), GNB_VAR_FLOOR)
     return GaussianNBModel(
         log_priors=np.log(counts / counts.sum()),
         means=means,
@@ -156,11 +157,9 @@ def _seed_centroids(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
 def _lloyd(x: np.ndarray, centroids: np.ndarray, max_iter: int):
     k = len(centroids)
     labels = np.full(len(x), -1)
-    inertia_history: list[float] = []
     for _ in range(max_iter):
         d2 = _sq_distances(x, centroids)
         new_labels = d2.argmin(axis=1)
-        inertia_history.append(float(d2[np.arange(len(x)), new_labels].sum()))
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
@@ -179,7 +178,7 @@ def _lloyd(x: np.ndarray, centroids: np.ndarray, max_iter: int):
     inertia = float(
         _sq_distances(x, centroids)[np.arange(len(x)), labels].sum()
     )
-    return centroids, labels, inertia, inertia_history
+    return centroids, labels, inertia
 
 
 def kmeans(
@@ -187,7 +186,6 @@ def kmeans(
     k: int,
     restarts: int = 10,
     seed: int = 0,
-    max_iter: int = 100,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd's algorithm, best of ``restarts`` by within-cluster sum of squares.
 
@@ -207,7 +205,7 @@ def kmeans(
     best = None
     for _ in range(max(1, restarts)):
         c0 = _seed_centroids(xs, k, rng)
-        centroids, labels, inertia, _ = _lloyd(xs, c0, max_iter)
+        centroids, labels, inertia = _lloyd(xs, c0, KMEANS_MAX_ITER)
         if best is None or inertia < best[2]:
             best = (centroids, labels, inertia)
     centroids, labels, _ = best

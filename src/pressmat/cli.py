@@ -83,12 +83,12 @@ def cmd_features(args) -> int:
 
 
 def _train_config(args) -> mtnet.TrainConfig:
-    return mtnet.TrainConfig(
-        max_iterations=args.max_iter,
-        weight_decay=args.weight_decay,
-        lbfgs_memory=args.lbfgs_memory,
-        seed=args.seed,
-    )
+    return mtnet.TrainConfig(max_iterations=args.max_iter, seed=args.seed)
+
+
+def _n_bmi_classes(table: features.FeatureTable) -> int:
+    """The paper's 5 BMI classes, or one per subject when there are fewer."""
+    return min(evalharness.N_BMI_CLASSES, len(set(table.subject_ids.tolist())))
 
 
 def cmd_train(args) -> int:
@@ -101,9 +101,8 @@ def cmd_train(args) -> int:
         config,
         feature_mask=table.mask,
     )
-    bmi_by_subject = table.bmi_by_subject()
     class_map = baselines.build_bmi_classes(
-        bmi_by_subject, k=min(args.bmi_classes, len(bmi_by_subject)), seed=args.seed
+        table.bmi_by_subject(), k=_n_bmi_classes(table), seed=args.seed
     )
     labels = np.array([class_map[s] for s in table.subject_ids], dtype=int)
     mtnet.fit_bmi_class_head(model, table.active_matrix(), labels,
@@ -122,12 +121,11 @@ def cmd_eval(args) -> int:
     table = features.load_feature_table(args.features)
     plan = evalharness.make_folds(table.subject_ids, n_folds=args.folds, seed=args.seed)
     recipe = _build_recipe(args)
-    n_subjects = len(set(table.subject_ids.tolist()))
     report = evalharness.run_cv(
         table,
         recipe,
         plan,
-        n_bmi_classes=min(args.bmi_classes, n_subjects),
+        n_bmi_classes=_n_bmi_classes(table),
         config_echo=_echo(args),
     )
     report.save(args.report_out)
@@ -150,9 +148,8 @@ def cmd_importance(args) -> int:
     table = features.load_feature_table(args.features)
     plan = evalharness.make_folds(table.subject_ids, n_folds=args.folds, seed=args.seed)
     recipe = _build_recipe(args)
-    n_subjects = len(set(table.subject_ids.tolist()))
     result = evalharness.drop_column_importance(
-        table, recipe, plan, n_bmi_classes=min(args.bmi_classes, n_subjects)
+        table, recipe, plan, n_bmi_classes=_n_bmi_classes(table)
     )
     doc = {"config_echo": _echo(args), "importance": result}
     atomic_write_text(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -186,9 +183,6 @@ def cmd_report(args) -> int:
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iter", type=int, default=14500)
-    p.add_argument("--weight-decay", type=float, default=1e-4)
-    p.add_argument("--lbfgs-memory", type=int, default=10)
-    p.add_argument("--bmi-classes", type=int, default=5)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -111,7 +111,7 @@ class SubjectRecord:
     height_m: float
     weight_kg: float
     age_years: float | None = None
-    bmi: float = field(default=None)  # type: ignore[assignment]
+    bmi: float = field(init=False)  # weight_kg / height_m^2, set on construction
 
     def __post_init__(self):
         if not (self.height_m > 0) or not (self.weight_kg > 0):
@@ -121,11 +121,6 @@ class SubjectRecord:
         if self.age_years is not None and not (self.age_years > 0):
             raise ValueError(f"subject {self.subject_id}: age must be positive")
         bmi = compute_bmi(self.weight_kg, self.height_m)
-        if self.bmi is not None and abs(self.bmi - bmi) > 1e-9 * max(1.0, bmi):
-            raise ValueError(
-                f"subject {self.subject_id}: stated bmi {self.bmi} != "
-                f"weight/height^2 = {bmi}"
-            )
         object.__setattr__(self, "bmi", bmi)
         lo, hi = BMI_BAND
         if not (lo < bmi < hi):

@@ -1,8 +1,11 @@
 """10-fold cross-validation, metrics, and drop-column feature importance.
 
 Folds are frame-level and stratified per subject, so every subject appears in
-every training split (identity classification needs that). Normalization and
-the k-means BMI class construction are refit inside each training fold.
+every training split (identity classification needs that). Normalization is
+refit inside each training fold. BMI classes come from k-means over every
+subject's table-wide BMI, re-clustered in each fold with seed
+``plan.seed + fold``; since every fold trains on every subject, the clustered
+values are the same in each fold and only the seed differs.
 Aggregates are mean and sample (n-1) standard deviation over folds; confusion
 matrices aggregate by summing counts.
 """
@@ -153,7 +156,7 @@ class MtnetRecipe:
         return {
             "identity_pred_idx": out.identity_probs.argmax(axis=1),
             "bmi_pred": out.bmi_estimate,
-            "bmi_class_pred": mtnet.predict_bmi_class(model, test.x),
+            "bmi_class_pred": out.bmi_class,
         }
 
 
@@ -378,7 +381,6 @@ def run_cv(
     echo.setdefault("recipe", getattr(recipe, "name", type(recipe).__name__))
     echo.setdefault("n_folds", plan.n_folds)
     echo.setdefault("seed", plan.seed)
-    echo.setdefault("class_mode", "bmi")
     echo.setdefault("feature_mask", list(table.mask))
     return EvaluationReport(
         config_echo=echo,

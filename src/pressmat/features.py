@@ -383,7 +383,8 @@ def load_feature_table(path: str) -> FeatureTable:
     """Read features.csv; a uniformly empty feature column is a masked feature.
 
     Every non-empty feature cell must be finite, every BMI inside
-    ``BMI_BAND``, and all of a subject's rows must state the same BMI.
+    ``BMI_BAND``, all of a subject's rows must state the same BMI, and no
+    ``(subject_id, posture_id, frame_index)`` key may repeat.
     """
     lo, hi = BMI_BAND
     subject_ids: list[str] = []
@@ -392,6 +393,7 @@ def load_feature_table(path: str) -> FeatureTable:
     rows: list[list[float]] = []
     bmi: list[float] = []
     first_bmi: dict[str, tuple[float, int]] = {}
+    first_line: dict[tuple[str, int, int], int] = {}
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -407,6 +409,10 @@ def load_feature_table(path: str) -> FeatureTable:
             try:
                 posture_ids.append(int(row[1]))
                 frame_indices.append(int(row[2]))
+                key = (sid, posture_ids[-1], frame_indices[-1])
+                first = first_line.setdefault(key, lineno)
+                if first != lineno:
+                    raise ValueError(f"row key {key} repeats line {first}")
                 cells = row[3:-1]
                 values = [float(c) if c != "" else np.nan for c in cells]
                 if not all(map(math.isfinite, values)):  # empty (masked) cells are NaN

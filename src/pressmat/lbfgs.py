@@ -21,6 +21,8 @@ log = logging.getLogger(__name__)
 
 WOLFE_C1 = 1e-4
 WOLFE_C2 = 0.9
+WOLFE_MAX_EVALS = 25      # objective calls per strong-Wolfe search
+BACKTRACK_MAX_EVALS = 40  # objective calls per backtracking fallback
 
 
 @dataclass
@@ -53,8 +55,7 @@ def _cubic_minimizer(a, fa, ga, b, fb, gb):
     return pos
 
 
-def strong_wolfe(fun, x, f0, g0, direction, alpha0=1.0, c1=WOLFE_C1, c2=WOLFE_C2,
-                 max_evals=25):
+def strong_wolfe(fun, x, f0, g0, direction, alpha0=1.0):
     """Line search satisfying the strong Wolfe conditions.
 
     Returns ``(alpha, f, g, n_evals)``; ``alpha`` is None when no acceptable
@@ -72,7 +73,7 @@ def strong_wolfe(fun, x, f0, g0, direction, alpha0=1.0, c1=WOLFE_C1, c2=WOLFE_C2
 
     def zoom(lo, f_lo, d_lo, hi, f_hi, d_hi):
         nonlocal evals
-        while evals < max_evals:
+        while evals < WOLFE_MAX_EVALS:
             alpha = _cubic_minimizer(lo, f_lo, d_lo, hi, f_hi, d_hi)
             lo_b, hi_b = min(lo, hi), max(lo, hi)
             span = hi_b - lo_b
@@ -80,10 +81,10 @@ def strong_wolfe(fun, x, f0, g0, direction, alpha0=1.0, c1=WOLFE_C1, c2=WOLFE_C2
                 alpha = 0.5 * (lo + hi)
             f, g, d = phi(alpha)
             evals += 1
-            if f > f0 + c1 * alpha * dphi0 or f >= f_lo:
+            if f > f0 + WOLFE_C1 * alpha * dphi0 or f >= f_lo:
                 hi, f_hi, d_hi = alpha, f, d
             else:
-                if abs(d) <= -c2 * dphi0:
+                if abs(d) <= -WOLFE_C2 * dphi0:
                     return alpha, f, g
                 if d * (hi - lo) >= 0:
                     hi, f_hi, d_hi = lo, f_lo, d_lo
@@ -94,13 +95,13 @@ def strong_wolfe(fun, x, f0, g0, direction, alpha0=1.0, c1=WOLFE_C1, c2=WOLFE_C2
 
     alpha_prev, f_prev, d_prev = 0.0, f0, dphi0
     alpha = alpha0
-    for i in range(max_evals):
+    for i in range(WOLFE_MAX_EVALS):
         f, g, d = phi(alpha)
         evals += 1
-        if f > f0 + c1 * alpha * dphi0 or (i > 0 and f >= f_prev):
+        if f > f0 + WOLFE_C1 * alpha * dphi0 or (i > 0 and f >= f_prev):
             a, fv, gv = zoom(alpha_prev, f_prev, d_prev, alpha, f, d)
             return (a, fv, gv, evals) if a is not None else (None, f0, g0, evals)
-        if abs(d) <= -c2 * dphi0:
+        if abs(d) <= -WOLFE_C2 * dphi0:
             return alpha, f, g, evals
         if d >= 0:
             a, fv, gv = zoom(alpha, f, d, alpha_prev, f_prev, d_prev)
@@ -110,17 +111,17 @@ def strong_wolfe(fun, x, f0, g0, direction, alpha0=1.0, c1=WOLFE_C1, c2=WOLFE_C2
     return None, f0, g0, evals
 
 
-def _backtrack(fun, x, f0, g0, direction, c1=WOLFE_C1, max_evals=40):
+def _backtrack(fun, x, f0, g0, direction):
     """Armijo backtracking; returns (alpha, f, g, n_evals) or alpha None."""
     dphi0 = float(g0 @ direction)
     if dphi0 >= 0:
         return None, f0, g0, 0
     alpha = 1.0 / max(1.0, float(np.abs(g0).max()))
     evals = 0
-    for _ in range(max_evals):
+    for _ in range(BACKTRACK_MAX_EVALS):
         f, g = fun(x + alpha * direction)
         evals += 1
-        if f <= f0 + c1 * alpha * dphi0:
+        if f <= f0 + WOLFE_C1 * alpha * dphi0:
             return alpha, f, g, evals
         alpha *= 0.5
     return None, f0, g0, evals

@@ -22,31 +22,28 @@ from .baselines import zscore_fit
 from .dataset import atomic_write_text
 
 HIDDEN_SIZES = (64, 128, 256, 256, 256)
+WEIGHT_DECAY = 1e-4  # L2 coefficient on weight matrices, trunk and class head alike
+LBFGS_MEMORY = 10
+GRAD_TOL = 1e-6      # gradient max-norm stop, trunk and class head
+LOSS_TOL = 1e-10     # relative loss-change stop of the trunk fit
 LOG_EPS = 1e-12
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     max_iterations: int = 14500
-    weight_decay: float = 1e-4
-    lbfgs_memory: int = 10
-    grad_tol: float = 1e-6
-    loss_tol: float = 1e-10
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_iterations < 1 or self.lbfgs_memory < 1:
-            raise ValueError("iteration cap and memory must be positive")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be non-negative")
-        if not (self.grad_tol > 0 and self.loss_tol > 0):
-            raise ValueError("convergence tolerances must be positive")
+        if self.max_iterations < 1:
+            raise ValueError("iteration cap must be positive")
 
 
 @dataclass(frozen=True)
 class MultitaskOutput:
-    identity_probs: np.ndarray  # (n, M), rows on the simplex
-    bmi_estimate: np.ndarray    # (n,)
+    identity_probs: np.ndarray      # (n, M), rows on the simplex
+    bmi_estimate: np.ndarray        # (n,)
+    bmi_class: np.ndarray | None    # (n,) class head argmax; None without a head
 
 
 @dataclass
@@ -134,12 +131,19 @@ def _forward_hidden(weights, biases, xn: np.ndarray) -> list[np.ndarray]:
 
 
 def forward(model: MultitaskModel, features: np.ndarray) -> MultitaskOutput:
-    """Run the network on raw (unnormalized) active feature rows."""
+    """Run the network on raw (unnormalized) active feature rows.
+
+    One trunk pass feeds the identity head, the BMI head and, when the model
+    has one, the BMI class head.
+    """
     h = hidden_activations(model, features)
     logits = h @ model.weights[-2] + model.biases[-2]
     logp = _softmax_log(logits)
     bmi = (h @ model.weights[-1] + model.biases[-1]).ravel()
-    return MultitaskOutput(identity_probs=np.exp(logp), bmi_estimate=bmi)
+    head = model.class_head
+    bmi_class = None if head is None else (h @ head.weight + head.bias).argmax(axis=1)
+    return MultitaskOutput(identity_probs=np.exp(logp), bmi_estimate=bmi,
+                           bmi_class=bmi_class)
 
 
 def hidden_activations(model: MultitaskModel, features: np.ndarray) -> np.ndarray:
@@ -262,12 +266,11 @@ def train(
     theta0 = _pack(w0, b0)
 
     def fun(theta):
-        return _batch_loss_grad(theta, dims, xn, y_idx, bmi, config.weight_decay)
+        return _batch_loss_grad(theta, dims, xn, y_idx, bmi, WEIGHT_DECAY)
 
     result = lbfgs.minimize_lbfgs(
         fun, theta0, max_iterations=config.max_iterations,
-        memory=config.lbfgs_memory, grad_tol=config.grad_tol,
-        loss_tol=config.loss_tol,
+        memory=LBFGS_MEMORY, grad_tol=GRAD_TOL, loss_tol=LOSS_TOL,
     )
 
     weights, biases = _unpack(result.x.copy(), dims)
@@ -292,8 +295,8 @@ def fit_bmi_class_head(
 ) -> BmiClassHead:
     """Fit the post-hoc logistic head on fifth-layer activations.
 
-    Uses the same weight-decay coefficient as the trunk and runs L-BFGS until
-    the gradient max-norm is below the model's tolerance (convex problem).
+    Uses the trunk's weight-decay coefficient and runs L-BFGS until the
+    gradient max-norm is below ``GRAD_TOL`` (convex problem).
     """
     labels = np.asarray(class_labels, dtype=int)
     present = set(labels.tolist())
@@ -303,22 +306,20 @@ def fit_bmi_class_head(
 
     h = hidden_activations(model, features)
     d = h.shape[1]
-    wd = model.config.weight_decay
 
     def fun(theta):
         w = theta[: d * n_classes].reshape(d, n_classes)
         b = theta[d * n_classes:]
         ce, dlogits = _cross_entropy(h @ w + b, labels)
-        loss = ce + wd * float((w * w).sum())
-        gw = h.T @ dlogits + 2.0 * wd * w
+        loss = ce + WEIGHT_DECAY * float((w * w).sum())
+        gw = h.T @ dlogits + 2.0 * WEIGHT_DECAY * w
         gb = dlogits.sum(axis=0)
         return loss, np.concatenate([gw.ravel(), gb])
 
     theta0 = np.zeros(d * n_classes + n_classes)
     result = lbfgs.minimize_lbfgs(
         fun, theta0, max_iterations=max_iterations,
-        memory=model.config.lbfgs_memory,
-        grad_tol=model.config.grad_tol, loss_tol=1e-16,
+        memory=LBFGS_MEMORY, grad_tol=GRAD_TOL, loss_tol=1e-16,
     )
     head = BmiClassHead(
         weight=result.x[: d * n_classes].reshape(d, n_classes).copy(),
@@ -331,9 +332,7 @@ def fit_bmi_class_head(
 def predict_bmi_class(model: MultitaskModel, features: np.ndarray) -> np.ndarray:
     if model.class_head is None:
         raise ValueError("model has no BMI class head; call fit_bmi_class_head first")
-    h = hidden_activations(model, features)
-    logits = h @ model.class_head.weight + model.class_head.bias
-    return logits.argmax(axis=1)
+    return forward(model, features).bmi_class
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +340,7 @@ def predict_bmi_class(model: MultitaskModel, features: np.ndarray) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 MODEL_FORMAT = "pressmat-multitask-model"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 
 
 def save_model(model: MultitaskModel, path: str) -> None:
@@ -357,10 +356,6 @@ def save_model(model: MultitaskModel, path: str) -> None:
         "biases": [b.tolist() for b in model.biases],
         "config": {
             "max_iterations": model.config.max_iterations,
-            "weight_decay": model.config.weight_decay,
-            "lbfgs_memory": model.config.lbfgs_memory,
-            "grad_tol": model.config.grad_tol,
-            "loss_tol": model.config.loss_tol,
             "seed": model.config.seed,
         },
         "class_head": None
@@ -373,7 +368,7 @@ def save_model(model: MultitaskModel, path: str) -> None:
     atomic_write_text(path, json.dumps(doc, sort_keys=True) + "\n")
 
 
-def load_model(path: str, expect_feature_mask: tuple[bool, ...] | None = None) -> MultitaskModel:
+def load_model(path: str) -> MultitaskModel:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("format") != MODEL_FORMAT:
@@ -381,12 +376,6 @@ def load_model(path: str, expect_feature_mask: tuple[bool, ...] | None = None) -
     if doc.get("version") != MODEL_VERSION:
         raise ValueError(f"{path}: unsupported model version {doc.get('version')}")
     stored_mask = doc.get("feature_mask")
-    if expect_feature_mask is not None:
-        if stored_mask is None or tuple(stored_mask) != tuple(expect_feature_mask):
-            raise ValueError(
-                f"{path}: model feature mask {stored_mask} does not match "
-                f"expected {list(expect_feature_mask)}"
-            )
     cfg = TrainConfig(**doc["config"])
     head = None
     if doc.get("class_head"):

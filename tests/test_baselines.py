@@ -205,8 +205,12 @@ class TestKmeans:
     def test_lloyd_inertia_non_increasing(self):
         rng = np.random.default_rng(9)
         pts = rng.normal(size=(60, 2))
-        c0 = _seed_centroids(pts, 4, np.random.default_rng(0))
-        _, _, _, history = _lloyd(pts, c0.copy(), max_iter=100)
+        centroids = _seed_centroids(pts, 4, np.random.default_rng(0))
+        history = []
+        for _ in range(30):  # one Lloyd step per call, from the previous centroids
+            centroids, _, inertia = _lloyd(pts, centroids, max_iter=1)
+            history.append(inertia)
+        assert history[-1] < history[0]
         assert all(b <= a + 1e-9 for a, b in zip(history, history[1:]))
 
 

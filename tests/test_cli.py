@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 
 import numpy as np
 import pytest
@@ -23,6 +24,34 @@ def test_build_recipe_names():
         assert _build_recipe(parser.parse_args(base + ["--recipe", name])).name == name
     with pytest.raises(SystemExit):
         parser.parse_args(base + ["--recipe", "svm"])
+
+
+def readme_cli_commands() -> list[list[str]]:
+    """Arguments of every `pressmat ...` command in README.md's CLI block.
+
+    Continuation lines are joined, the brackets around optional flags dropped
+    and comment lines skipped.
+    """
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        if line.startswith("pressmat "):
+            commands.append(shlex.split(line.replace("[", "").replace("]", ""))[1:])
+    return commands
+
+
+def test_readme_cli_block_parses():
+    parser = build_parser()
+    commands = readme_cli_commands()
+    assert len(commands) >= 8
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README.md command does not parse: pressmat {shlex.join(argv)}")
 
 
 @pytest.fixture

@@ -596,10 +596,11 @@ class TestExtractAll:
 
 
 class TestFeatureTableLoad:
-    # (-1, "30.0"): line 4 is S01's third row, and S01's BMI is 60 / 1.7**2
+    # Line 4 is S01's third row (posture 1, frame 2): (-1, "30.0") differs
+    # from S01's BMI of 60 / 1.7**2, and (2, "1") repeats line 3's key.
     @pytest.mark.parametrize("column, bad", [
         (1, "x1"), (2, "2.5"), (5, "abc"), (5, "inf"), (5, "nan"), (-1, "nan?"),
-        (-1, "nan"), (-1, "inf"), (-1, "5.0"), (-1, "30.0"),
+        (-1, "nan"), (-1, "inf"), (-1, "5.0"), (-1, "30.0"), (2, "1"),
     ])
     def test_malformed_cell_cites_path_and_line(self, tiny_corpus, tmp_path, column, bad):
         path = str(tmp_path / "features.csv")

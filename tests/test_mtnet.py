@@ -28,22 +28,22 @@ def loss_bmi(estimate: float, true_bmi: float) -> float:
     return 0.5 * d * d
 
 
-def batch_loss_grad(model, features, identities, bmi):
+def batch_loss_grad(model, features, identities, bmi, weight_decay=mtnet.WEIGHT_DECAY):
     """The training objective and its gradient at the model's parameters."""
     xn = (np.atleast_2d(features) - model.norm_mean) / model.norm_std
     y_idx = mtnet._identity_indices(model.subject_ids, identities)
     theta = mtnet._pack(model.weights, model.biases)
     dims = mtnet._layer_dims(model.n_features, model.n_subjects)
     return mtnet._batch_loss_grad(theta, dims, xn, y_idx, np.asarray(bmi, dtype=float),
-                                  model.config.weight_decay)
+                                  weight_decay)
 
 
-def random_model(n=8, F=14, M=5, seed=42, weight_decay=1e-4):
+def random_model(n=8, F=14, M=5, seed=42):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, F))
     subjects = np.array([f"P{i % M}" for i in range(n)])
     bmi = rng.uniform(18, 35, size=n)
-    cfg = TrainConfig(max_iterations=1, weight_decay=weight_decay, seed=seed)
+    cfg = TrainConfig(max_iterations=1, seed=seed)
     return train(X, subjects, bmi, cfg), X, subjects, bmi
 
 
@@ -63,6 +63,7 @@ class TestForward:
         out = forward(model, X)
         np.testing.assert_allclose(out.identity_probs.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(out.identity_probs >= 0)
+        assert out.bmi_class is None  # no class head fitted
 
     def test_logit_shift_invariance(self):
         model, X, *_ = random_model()
@@ -99,16 +100,16 @@ class TestLosses:
 
     def test_loss_bmi(self):
         # the BMI term is the mean half squared error of the BMI head
-        model, X, subjects, _ = random_model(weight_decay=0.0)
+        model, X, subjects, _ = random_model()
         est = forward(model, X).bmi_estimate
         offsets = np.array([0.0, 2.0, -7.0, 0.0, 1.0, 0.0, 0.0, 3.0])
-        exact, _ = batch_loss_grad(model, X, subjects, est)
-        shifted, _ = batch_loss_grad(model, X, subjects, est + offsets)
+        exact, _ = batch_loss_grad(model, X, subjects, est, weight_decay=0.0)
+        shifted, _ = batch_loss_grad(model, X, subjects, est + offsets, weight_decay=0.0)
         assert shifted - exact == pytest.approx(0.5 * (offsets**2).mean(), rel=1e-9)
         assert loss_bmi(20.0, 22.0) == pytest.approx(2.0)
 
     def test_batch_loss_matches_per_sample_oracle(self):
-        model, X, subjects, bmi = random_model(n=12, M=4, weight_decay=1e-3)
+        model, X, subjects, bmi = random_model(n=12, M=4)
         # push subject P3's logit far down so its probability falls under LOG_EPS
         model.biases[-2][3] -= 80.0
         out = forward(model, X)
@@ -118,30 +119,23 @@ class TestLosses:
         per_sample = [loss_subject(out.identity_probs[i], idx[i])
                       + loss_bmi(out.bmi_estimate[i], bmi[i]) for i in range(len(X))]
         decay = 1e-3 * sum(float((w * w).sum()) for w in model.weights)
-        loss, _ = batch_loss_grad(model, X, subjects, bmi)
+        loss, _ = batch_loss_grad(model, X, subjects, bmi, weight_decay=1e-3)
         assert loss == pytest.approx(math.fsum(per_sample) / len(X) + decay, rel=1e-12)
 
     def test_loss_total_perfect_zero_decay(self):
-        model, X, subjects, bmi = random_model(weight_decay=0.0)
+        model, X, subjects, bmi = random_model()
         out = forward(model, X)
         # build a batch the model predicts perfectly: use its own outputs
         pred_sid = np.array(model.subject_ids)[out.identity_probs.argmax(1)]
-        total, _ = batch_loss_grad(model, X, pred_sid, out.bmi_estimate)
+        total, _ = batch_loss_grad(model, X, pred_sid, out.bmi_estimate, weight_decay=0.0)
         ce_floor = -np.log(out.identity_probs.max(axis=1)).mean()
         assert total == pytest.approx(ce_floor, abs=1e-12)
 
     def test_loss_total_decay_term(self):
-        model, X, subjects, bmi = random_model(weight_decay=1e-4)
-        base, _ = batch_loss_grad(model, X, subjects, bmi)
+        model, X, subjects, bmi = random_model()
+        base, _ = batch_loss_grad(model, X, subjects, bmi, weight_decay=1e-4)
         sq = sum(float((w * w).sum()) for w in model.weights)
-        model2, *_ = random_model(weight_decay=0.0)
-        for w2, w1 in zip(model2.weights, model.weights):
-            w2[:] = w1
-        for b2, b1 in zip(model2.biases, model.biases):
-            b2[:] = b1
-        model2.norm_mean[:] = model.norm_mean
-        model2.norm_std[:] = model.norm_std
-        no_decay, _ = batch_loss_grad(model2, X, subjects, bmi)
+        no_decay, _ = batch_loss_grad(model, X, subjects, bmi, weight_decay=0.0)
         assert base - no_decay == pytest.approx(1e-4 * sq, rel=1e-9)
 
     def test_duplicated_batch_same_gradient(self):
@@ -180,7 +174,7 @@ class TestGradient:
     def test_zero_loss_configuration_leaves_decay_gradient(self):
         # with zero weight decay and an exactly-fit batch, gradient of the BMI
         # head bias is the mean residual = 0; check the decay-only identity
-        model, X, subjects, bmi = random_model(weight_decay=1e-3)
+        model, X, subjects, bmi = random_model()
         theta = mtnet._pack(model.weights, model.biases)
         dims = mtnet._layer_dims(14, 5)
         xn = (X - model.norm_mean) / model.norm_std
@@ -316,25 +310,29 @@ class TestSerialization:
         np.testing.assert_array_equal(
             predict_bmi_class(model, X), predict_bmi_class(loaded, X)
         )
+        # forward's class argmax against the head applied to the trunk output
+        h = hidden_activations(model, X)
+        expected = (h @ model.class_head.weight + model.class_head.bias).argmax(axis=1)
+        np.testing.assert_array_equal(out1.bmi_class, expected)
+        np.testing.assert_array_equal(out2.bmi_class, predict_bmi_class(loaded, X))
+        assert loaded.feature_mask == model.feature_mask
 
-    def test_mask_mismatch_rejected(self, tmp_path):
-        model, *_ = random_model()
-        model.feature_mask = (True,) * 14
-        path = str(tmp_path / "model.json")
-        save_model(model, path)
-        wrong = tuple(i != 0 for i in range(14))
-        with pytest.raises(ValueError, match="mask"):
-            load_model(path, expect_feature_mask=wrong)
+    # The training constants that a version 2 file's config held.
+    V2_CONFIG = {"weight_decay": 1e-4, "lbfgs_memory": 10, "grad_tol": 1e-6, "loss_tol": 1e-10}
 
-    def test_version_1_file_rejected(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_version_file_rejected(self, tmp_path, version):
         model, *_ = random_model()
         path = tmp_path / "model.json"
         save_model(model, str(path))
         doc = json.loads(path.read_text())
-        assert doc["version"] == 2 and "optimizer" not in doc["config"]
-        doc["version"] = 1
-        doc["config"].update(optimizer="lbfgs", learning_rate=0.01)
-        doc["grid_meta"] = None
+        assert doc["version"] == 3
+        assert doc["config"] == {"max_iterations": 1, "seed": 42}
+        doc["version"] = version
+        doc["config"].update(self.V2_CONFIG)
+        if version == 1:  # also an optimizer choice, a learning rate and grid_meta
+            doc["config"].update(optimizer="lbfgs", learning_rate=0.01)
+            doc["grid_meta"] = None
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="unsupported model version 1"):
+        with pytest.raises(ValueError, match=f"unsupported model version {version}"):
             load_model(str(path))
