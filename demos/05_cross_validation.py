@@ -5,6 +5,8 @@ Folds are frame-level and stratified per subject (every subject stays in
 every training split, which identity classification requires).
 Normalization is refit inside each fold; the BMI classes re-cluster every
 subject's table-wide BMI in each fold with seed ``plan.seed + fold``.
+Drop-column importance reruns the CV once per feature and reuses one class map
+per fold across those runs, since dropping a feature leaves every BMI as it is.
 """
 
 import numpy as np

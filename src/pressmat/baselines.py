@@ -56,15 +56,14 @@ def knn_classify_batch(
     train_y = np.asarray(train_y, dtype=int)
     if k < 1 or k > len(train_y):
         raise ValueError(f"k must be in 1..{len(train_y)}, got {k}")
+    if train_y.min() < 0:
+        raise ValueError("class ids must be >= 0")
     d = _pairwise_distances(queries, train_x, metric)
     nearest = np.argsort(d, axis=1, kind="stable")[:, :k]
     votes = train_y[nearest]  # (nq, k)
-    n_classes = int(train_y.max()) + 1
-    out = np.empty(len(votes), dtype=int)
-    for i, row in enumerate(votes):
-        counts = np.bincount(row, minlength=n_classes)
-        out[i] = int(np.argmax(counts))  # argmax takes the smallest id on ties
-    return out
+    counts = np.zeros((len(votes), int(train_y.max()) + 1), dtype=int)
+    np.add.at(counts, (np.arange(len(votes))[:, None], votes), 1)
+    return counts.argmax(axis=1)  # argmax takes the smallest id on ties
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,9 @@ every training split (identity classification needs that). Normalization is
 refit inside each training fold. BMI classes come from k-means over every
 subject's table-wide BMI, re-clustered in each fold with seed
 ``plan.seed + fold``; since every fold trains on every subject, the clustered
-values are the same in each fold and only the seed differs.
-Aggregates are mean and sample (n-1) standard deviation over folds; confusion
-matrices aggregate by summing counts.
+values are the same in each fold and only the seed differs. Drop-column runs
+reuse one class map per fold. Aggregates are mean and sample (n-1) standard
+deviation over folds; confusion matrices aggregate by summing counts.
 """
 
 import dataclasses
@@ -132,7 +132,7 @@ class FoldData:
     subject_ids: np.ndarray  # (n,) str
     subject_idx: np.ndarray  # (n,) int index into the class order
     bmi: np.ndarray          # (n,)
-    bmi_class: np.ndarray    # (n,) int in 0..n_bmi_classes-1
+    bmi_class: np.ndarray | None  # (n,) int in 0..n_bmi_classes-1, if the recipe uses it
     n_bmi_classes: int
 
 
@@ -262,16 +262,14 @@ class EvaluationReport:
         atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _fold_data(table: FeatureTable, idx: np.ndarray, class_order: list[str],
-               class_map: dict[str, int], n_bmi_classes: int) -> FoldData:
-    sid_to_idx = {s: i for i, s in enumerate(class_order)}
-    sids = table.subject_ids[idx]
+def _fold_data(table: FeatureTable, x: np.ndarray, subject_idx: np.ndarray,
+               bmi_class: np.ndarray | None, idx: np.ndarray, n_bmi_classes: int) -> FoldData:
     return FoldData(
-        x=table.active_matrix()[idx],
-        subject_ids=sids,
-        subject_idx=np.array([sid_to_idx[s] for s in sids], dtype=int),
+        x=x[idx],
+        subject_ids=table.subject_ids[idx],
+        subject_idx=subject_idx[idx],
         bmi=table.bmi[idx],
-        bmi_class=np.array([class_map[s] for s in sids], dtype=int),
+        bmi_class=None if bmi_class is None else bmi_class[idx],
         n_bmi_classes=n_bmi_classes,
     )
 
@@ -282,19 +280,26 @@ def run_cv(
     plan: FoldPlan,
     n_bmi_classes: int = N_BMI_CLASSES,
     config_echo: dict | None = None,
+    class_maps: dict[int, dict[str, int]] | None = None,
 ) -> EvaluationReport:
     """Train/test the recipe on every fold and aggregate metrics.
 
-    Each fold clusters the subjects' BMI values into ``n_bmi_classes``
-    classes, seeded by ``plan.seed + fold``. A fold that raises ``ValueError``
-    (bad data; ``np.linalg.LinAlgError`` is one) is recorded and skipped, and
-    two such failures abort the run. Any other exception is a programming
-    error and propagates.
+    For a recipe that produces ``"bmi_class"``, each fold clusters the
+    subjects' BMI values into ``n_bmi_classes`` classes, seeded by
+    ``plan.seed + fold``, unless ``class_maps`` (fold -> map, shared by runs
+    over one plan and the same subject BMIs) holds it; built maps go there.
+    A fold that raises ``ValueError`` (bad data; ``np.linalg.LinAlgError`` is
+    one) is recorded and skipped, and two such failures abort the run. Any
+    other exception is a programming error and propagates.
     """
-    class_order = sorted(set(table.subject_ids.tolist()))
+    # np.unique's order is sorted(set(ids)), the report's identity_classes.
+    order, subject_idx = np.unique(table.subject_ids, return_inverse=True)
+    class_order = order.tolist()
+    x = table.active_matrix()
     per_fold: list[dict] = []
     failed: list[dict] = []
     bmi_by_subject = table.bmi_by_subject()
+    class_maps = {} if class_maps is None else class_maps
 
     # confusion classes for identity
     m_classes = len(class_order)
@@ -307,15 +312,19 @@ def run_cv(
         tr_idx = plan.train_indices(fold)
         te_idx = plan.test_indices(fold)
         try:
-            train_subject_set = set(table.subject_ids[tr_idx].tolist())
-            missing = [s for s in class_order if s not in train_subject_set]
+            train_counts = np.bincount(subject_idx[tr_idx], minlength=m_classes)
+            missing = [class_order[i] for i in np.flatnonzero(train_counts == 0)]
             if missing:
                 raise ValueError(f"fold {fold}: subjects {missing} absent from training")
-            class_map = baselines.build_bmi_classes(
-                bmi_by_subject, k=n_bmi_classes, seed=plan.seed + fold
-            )
-            train = _fold_data(table, tr_idx, class_order, class_map, n_bmi_classes)
-            test = _fold_data(table, te_idx, class_order, class_map, n_bmi_classes)
+            bmi_class = None
+            if "bmi_class" in recipe.produces:
+                if fold not in class_maps:
+                    class_maps[fold] = baselines.build_bmi_classes(
+                        bmi_by_subject, k=n_bmi_classes, seed=plan.seed + fold
+                    )
+                bmi_class = np.array([class_maps[fold][s] for s in class_order])[subject_idx]
+            train = _fold_data(table, x, subject_idx, bmi_class, tr_idx, n_bmi_classes)
+            test = _fold_data(table, x, subject_idx, bmi_class, te_idx, n_bmi_classes)
             preds = recipe.run_fold(train, test, seed=plan.seed + fold)
 
             scalars: dict[str, float] = {}
@@ -400,9 +409,11 @@ def drop_column_importance(
     """Metric change when each active feature is removed and the CV rerun.
 
     Positive values mean the feature helps (removing it hurts); negative
-    values are permitted.
+    values are permitted. Dropping a column leaves every subject's BMI as it
+    is, so all 1 + n_active runs share one BMI class map per fold.
     """
-    full = run_cv(table, recipe, plan, n_bmi_classes=n_bmi_classes)
+    class_maps: dict[int, dict[str, int]] = {}
+    full = run_cv(table, recipe, plan, n_bmi_classes=n_bmi_classes, class_maps=class_maps)
 
     def metric(report, name):
         entry = report.aggregate["scalars"].get(name)
@@ -414,7 +425,7 @@ def drop_column_importance(
     out: dict[str, dict[str, float]] = {}
     for j in table.active_indices:
         reduced = table.with_feature_dropped(int(j))
-        rep = run_cv(reduced, recipe, plan, n_bmi_classes=n_bmi_classes)
+        rep = run_cv(reduced, recipe, plan, n_bmi_classes=n_bmi_classes, class_maps=class_maps)
         entry: dict[str, float] = {}
         if full_acc is not None:
             entry["identity_accuracy"] = full_acc - metric(rep, "identity_accuracy")

@@ -5,6 +5,7 @@ import pytest
 
 from pressmat.baselines import (
     _lloyd,
+    _pairwise_distances,
     _seed_centroids,
     build_bmi_classes,
     gnb_classify,
@@ -98,6 +99,53 @@ class TestKnn:
         x = np.array([[-1.0], [1.0]])
         assert knn_classify(x, np.array([7, 2]), [0.0], k=1) == 7
         assert knn_classify(x[::-1], np.array([2, 7]), [0.0], k=1) == 2
+
+
+def bincount_vote_knn(train_x, train_y, queries, k, metric="euclidean"):
+    """The former vote: the same neighbours, one bincount + argmax per query row."""
+    train_y = np.asarray(train_y, dtype=int)
+    d = _pairwise_distances(queries, train_x, metric)
+    votes = train_y[np.argsort(d, axis=1, kind="stable")[:, :k]]
+    n_classes = int(train_y.max()) + 1
+    out = np.empty(len(votes), dtype=int)
+    for i, row in enumerate(votes):
+        out[i] = int(np.argmax(np.bincount(row, minlength=n_classes)))
+    return out
+
+
+class TestKnnVote:
+    @pytest.mark.parametrize("k", [1, 2, 10])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_bincount_vote(self, k, seed):
+        rng = np.random.default_rng(seed)
+        # few distinct points and labels {0, 2, 5}: distance ties, vote ties,
+        # and class ids 1, 3 and 4 that never appear
+        x = rng.integers(0, 3, size=(40, 2)).astype(float)
+        y = rng.choice([0, 2, 5], size=40)
+        queries = rng.integers(0, 3, size=(60, 2)).astype(float)
+        got = knn_classify_batch(x, y, queries, k=k)
+        assert got.dtype == np.dtype(int)
+        assert np.array_equal(got, bincount_vote_knn(x, y, queries, k))
+        if k > 1:  # the case exercises a vote tie
+            d = _pairwise_distances(queries, x, "euclidean")
+            votes = y[np.argsort(d, axis=1, kind="stable")[:, :k]]
+            counts = np.stack([np.bincount(v, minlength=6) for v in votes])
+            assert ((counts == counts.max(axis=1, keepdims=True)).sum(axis=1) > 1).any()
+
+    @pytest.mark.parametrize("query", [[0.4, 1.0], [[2.5, -1.0]]])
+    def test_single_query_row(self, query):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(12, 2))
+        y = rng.integers(0, 4, size=12)
+        for k in (1, 2, 10):
+            got = knn_classify_batch(x, y, query, k=k)
+            assert got.shape == (1,)
+            assert np.array_equal(got, bincount_vote_knn(x, y, query, k))
+
+    def test_negative_class_id_rejected(self):
+        x = np.array([[0.0], [1.0], [2.0]])
+        with pytest.raises(ValueError):
+            knn_classify_batch(x, np.array([0, -1, 2]), [[0.9]], k=2)
 
 
 class TestGnb:

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from pressmat import features
+from pressmat import baselines, features
 from pressmat.evalharness import (
     EvaluationReport,
+    GnbRecipe,
     KnnRecipe,
     LinregRecipe,
     MtnetRecipe,
@@ -283,3 +286,162 @@ class TestFoldFailures:
         with pytest.raises(TypeError, match="synthetic bug"):
             run_cv(table, BuggyRecipe(set()), plan, n_bmi_classes=3)
 
+
+
+def shared_bmi_table():
+    """Five subjects, S03 and S04 at one BMI: any 5-class k-means leaves a class empty."""
+    table = synthetic_table(n_subjects=5, frames=20, seed=30)
+    bmi = np.where(table.subject_ids == "S04", 30.0, table.bmi)
+    return dataclasses.replace(table, bmi=bmi)
+
+
+def importance_without_sharing(table, recipe, plan, n_bmi_classes):
+    """drop_column_importance as a loop of run_cv calls that each build their maps."""
+    def mean(report, name):
+        return report.aggregate["scalars"][name]["mean"]
+
+    full = run_cv(table, recipe, plan, n_bmi_classes=n_bmi_classes)
+    out = {}
+    for j in table.active_indices:
+        rep = run_cv(table.with_feature_dropped(int(j)), recipe, plan, n_bmi_classes=n_bmi_classes)
+        out[features.FEATURE_NAMES[int(j)]] = {
+            name: mean(full, name) - mean(rep, name)
+            for name in ("identity_accuracy", "bmi_r2") if name in full.aggregate["scalars"]
+        }
+    return out
+
+
+class TestSharedClassMaps:
+    @pytest.fixture
+    def build_calls(self, monkeypatch):
+        calls = []
+        build = baselines.build_bmi_classes
+
+        def counting(bmi_by_subject, k=5, seed=0):
+            calls.append(seed)
+            return build(bmi_by_subject, k=k, seed=seed)
+
+        monkeypatch.setattr(baselines, "build_bmi_classes", counting)
+        return calls
+
+    @pytest.mark.parametrize("recipe", [KnnRecipe(k=3), GnbRecipe()], ids=["knn", "gnb"])
+    def test_matches_runs_that_share_nothing(self, recipe):
+        table = synthetic_table(n_subjects=5, frames=20, seed=31).with_feature_dropped(9)
+        plan = make_folds(table.subject_ids, n_folds=4, seed=2)
+        shared = drop_column_importance(table, recipe, plan, n_bmi_classes=3)
+        assert shared == importance_without_sharing(table, recipe, plan, 3)
+        maps = {}
+        for j in table.active_indices[:3]:
+            reduced = table.with_feature_dropped(int(j))
+            with_maps = run_cv(reduced, recipe, plan, n_bmi_classes=3, class_maps=maps)
+            alone = run_cv(reduced, recipe, plan, n_bmi_classes=3)
+            assert with_maps.to_document() == alone.to_document()
+        assert sorted(maps) == list(range(plan.n_folds))
+
+    def test_one_build_per_fold(self, build_calls):
+        table = synthetic_table(n_subjects=4, frames=20, seed=32)
+        plan = make_folds(table.subject_ids, n_folds=5, seed=7)
+        drop_column_importance(table, KnnRecipe(k=3), plan, n_bmi_classes=3)
+        # unshared, the 1 + 14 runs would build 75 maps
+        assert build_calls == [7 + fold for fold in range(plan.n_folds)]
+
+    def test_least_squares_builds_no_classes(self, build_calls):
+        table = synthetic_table(n_subjects=4, frames=20, seed=33)
+        plan = make_folds(table.subject_ids, n_folds=5, seed=0)
+        drop_column_importance(table, LinregRecipe(), plan, n_bmi_classes=3)
+        assert build_calls == []
+
+    def test_failed_build_is_retried_not_stored(self, monkeypatch):
+        table = synthetic_table(n_subjects=4, frames=20, seed=34)
+        plan = make_folds(table.subject_ids, n_folds=5, seed=0)
+        calls = []
+        build = baselines.build_bmi_classes
+
+        def fails_on_fold_1(bmi_by_subject, k=5, seed=0):
+            calls.append(seed)
+            if seed == 1:
+                raise ValueError("insufficient diversity: k-means left an empty BMI class")
+            return build(bmi_by_subject, k=k, seed=seed)
+
+        monkeypatch.setattr(baselines, "build_bmi_classes", fails_on_fold_1)
+        maps = {}
+        report = run_cv(table, KnnRecipe(k=3), plan, n_bmi_classes=3, class_maps=maps)
+        assert [f["fold"] for f in report.failed_folds] == [1]
+        assert sorted(maps) == [0, 2, 3, 4]
+        calls.clear()
+        drop_column_importance(table, KnnRecipe(k=3), plan, n_bmi_classes=3)
+        # fold 1 fails the same way in each of the 15 runs; the others build once
+        assert sorted(calls) == [0] + [1] * 15 + [2, 3, 4]
+
+    def test_every_fold_failing_aborts_as_run_cv_does(self):
+        table = shared_bmi_table()
+        plan = make_folds(table.subject_ids, n_folds=4, seed=0)
+        maps = {}
+        with pytest.raises(RuntimeError) as alone:
+            run_cv(table, KnnRecipe(k=3), plan, class_maps=maps)
+        assert maps == {}
+        with pytest.raises(RuntimeError) as shared:
+            drop_column_importance(table, KnnRecipe(k=3), plan)
+        assert str(alone.value).startswith("2 folds failed")
+        assert "insufficient diversity" in str(alone.value)
+        assert str(shared.value) == str(alone.value)
+
+
+class TestClassesOnlyWhenUsed:
+    class Recorder:
+        """Records each fold's arrays and predicts the truth."""
+
+        name = "recorder"
+
+        def __init__(self, produces):
+            self.produces = produces
+            self.folds = []
+
+        def run_fold(self, train, test, seed):
+            self.folds.append((train, test))
+            preds = {"identity_pred_idx": test.subject_idx, "bmi_pred": test.bmi + 0.1}
+            if "bmi_class" in self.produces:
+                preds["bmi_class_pred"] = test.bmi_class
+            return preds
+
+    def test_least_squares_runs_where_classes_cannot_be_built(self):
+        table = shared_bmi_table()
+        plan = make_folds(table.subject_ids, n_folds=4, seed=0)
+        report = run_cv(table, LinregRecipe(), plan)
+        assert report.failed_folds == []
+        assert "bmi_r2" in report.aggregate["scalars"]
+        recorder = self.Recorder(("identity", "bmi"))
+        run_cv(table, recorder, plan)
+        assert all(tr.bmi_class is None and te.bmi_class is None for tr, te in recorder.folds)
+        with pytest.raises(RuntimeError, match="2 folds failed.*insufficient diversity"):
+            run_cv(table, KnnRecipe(k=3), plan)
+
+    def test_fold_arrays_match_the_per_row_lookup(self):
+        names = ["S2", "S10", "S1", "S3"]  # sorted: S1, S10, S2, S3
+        base = synthetic_table(n_subjects=4, frames=20, seed=35)
+        rows = np.random.default_rng(0).permutation(len(base))
+        table = dataclasses.replace(
+            base,
+            subject_ids=np.array([names[int(s[1:])] for s in base.subject_ids])[rows],
+            X=base.X[rows],
+            bmi=base.bmi[rows],
+        ).with_feature_dropped(2)
+        plan = make_folds(table.subject_ids, n_folds=5, seed=4)
+        recorder = self.Recorder(("identity", "bmi", "bmi_class"))
+        report = run_cv(table, recorder, plan, n_bmi_classes=3)
+        assert report.identity_classes == ["S1", "S10", "S2", "S3"]
+        sid_to_idx = {s: i for i, s in enumerate(report.identity_classes)}
+        for fold, (train, test) in enumerate(recorder.folds):
+            class_map = baselines.build_bmi_classes(table.bmi_by_subject(), k=3, seed=4 + fold)
+            for got, idx in ((train, plan.train_indices(fold)), (test, plan.test_indices(fold))):
+                sids = table.subject_ids[idx]
+                want_idx = np.array([sid_to_idx[s] for s in sids], dtype=int)
+                want_cls = np.array([class_map[s] for s in sids], dtype=int)
+                assert np.array_equal(got.subject_ids, sids)
+                assert got.subject_idx.dtype == want_idx.dtype
+                assert np.array_equal(got.subject_idx, want_idx)
+                assert got.bmi_class.dtype == want_cls.dtype
+                assert np.array_equal(got.bmi_class, want_cls)
+                assert np.array_equal(got.bmi, table.bmi[idx])
+                assert np.array_equal(got.x, table.active_matrix()[idx])
+                assert got.x.shape[1] == 13
