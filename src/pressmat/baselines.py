@@ -1,8 +1,8 @@
 """Classical comparison models: kNN, Gaussian Naive Bayes, least squares,
 k-means, and the 5-way BMI class construction over subjects.
 
-All tie-breaking is pinned (distance ties by training order, vote and argmax
-ties by smallest class id) so results are platform-deterministic.
+All tie-breaking is pinned (k-th-neighbour distance ties by training order,
+vote and argmax ties by smallest class id) so results are platform-deterministic.
 """
 
 from collections.abc import Mapping
@@ -50,8 +50,9 @@ def knn_classify_batch(
 ) -> np.ndarray:
     """Majority vote over the k nearest training rows, one label per query row.
 
-    Distance ties resolve in training-set order (stable sort); vote ties take
-    the smallest class id.
+    The neighbours are every row closer than the k-th smallest distance, then
+    the earliest rows in training order among those at exactly that distance;
+    vote ties take the smallest class id. A NaN distance raises ValueError.
     """
     train_y = np.asarray(train_y, dtype=int)
     if k < 1 or k > len(train_y):
@@ -59,11 +60,18 @@ def knn_classify_batch(
     if train_y.min() < 0:
         raise ValueError("class ids must be >= 0")
     d = _pairwise_distances(queries, train_x, metric)
-    nearest = np.argsort(d, axis=1, kind="stable")[:, :k]
-    votes = train_y[nearest]  # (nq, k)
-    counts = np.zeros((len(votes), int(train_y.max()) + 1), dtype=int)
-    np.add.at(counts, (np.arange(len(votes))[:, None], votes), 1)
-    return counts.argmax(axis=1)  # argmax takes the smallest id on ties
+    if np.isnan(d).any():
+        raise ValueError("kNN distance is NaN; features must be finite")
+    kth = np.partition(d, k - 1, axis=1)[:, k - 1:k]
+    near = d <= kth
+    if np.count_nonzero(near) > k * len(d):  # some row ties past k at the k-th distance
+        closer, tied = d < kth, d == kth
+        room = k - closer.sum(axis=1, keepdims=True)
+        near = closer | (tied & (np.cumsum(tied, axis=1) <= room))
+    rows, cols = np.divmod(np.flatnonzero(near), d.shape[1])  # faster than 2-D nonzero
+    n_classes = int(train_y.max()) + 1
+    counts = np.bincount(rows * n_classes + train_y[cols], minlength=len(d) * n_classes)
+    return counts.reshape(len(d), n_classes).argmax(axis=1)  # first max: smallest id
 
 
 @dataclass(frozen=True)

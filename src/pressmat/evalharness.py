@@ -97,7 +97,7 @@ def confusion_matrix(truth, pred, n_classes: int) -> np.ndarray:
 
 
 def per_class_prf(truth, pred, n_classes: int) -> dict:
-    """Per-class precision/recall/F1 plus macro averages.
+    """Per-class precision/recall/F1, macro averages and the confusion matrix.
 
     A class with zero predicted positives has precision 0; zero true members
     give recall 0; F1 is 0 when P + R is 0.
@@ -117,6 +117,7 @@ def per_class_prf(truth, pred, n_classes: int) -> dict:
         "precision_macro": float(precision.mean()),
         "recall_macro": float(recall.mean()),
         "f1_macro": float(f1.mean()),
+        "confusion": m,
     }
 
 
@@ -340,7 +341,7 @@ def run_cv(
                 arrays["identity_precision"] = prf["precision"].tolist()
                 arrays["identity_recall"] = prf["recall"].tolist()
                 arrays["identity_f1"] = prf["f1"].tolist()
-                cm = confusion_matrix(test.subject_idx, pred_idx, m_classes)
+                cm = prf["confusion"]
                 arrays["identity_confusion"] = cm.tolist()
                 id_confusion_total += cm
 

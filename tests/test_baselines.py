@@ -2,6 +2,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pressmat.baselines import (
     _lloyd,
@@ -102,7 +103,8 @@ class TestKnn:
 
 
 def bincount_vote_knn(train_x, train_y, queries, k, metric="euclidean"):
-    """The former vote: the same neighbours, one bincount + argmax per query row."""
+    """The former path: the first k of a stable argsort of each query row's
+    distances, then one bincount + argmax per query row."""
     train_y = np.asarray(train_y, dtype=int)
     d = _pairwise_distances(queries, train_x, metric)
     votes = train_y[np.argsort(d, axis=1, kind="stable")[:, :k]]
@@ -146,6 +148,86 @@ class TestKnnVote:
         x = np.array([[0.0], [1.0], [2.0]])
         with pytest.raises(ValueError):
             knn_classify_batch(x, np.array([0, -1, 2]), [[0.9]], k=2)
+
+
+@st.composite
+def tied_knn_case(draw):
+    """Integer-grid rows (many equal distances), labels from a sparse id set."""
+    n_train = draw(st.integers(1, 25))
+    n_query = draw(st.integers(1, 8))
+    n_feat = draw(st.integers(1, 3))
+    grid = st.integers(-2, 2)
+    x = np.array(draw(st.lists(grid, min_size=n_train * n_feat, max_size=n_train * n_feat)),
+                 dtype=float).reshape(n_train, n_feat)
+    q = np.array(draw(st.lists(grid, min_size=n_query * n_feat, max_size=n_query * n_feat)),
+                 dtype=float).reshape(n_query, n_feat)
+    # a constant last column keeps every row non-zero, which cosine requires
+    x = np.hstack([x, np.ones((n_train, 1))])
+    q = np.hstack([q, np.ones((n_query, 1))])
+    y = np.array(draw(st.lists(st.sampled_from([0, 2, 3, 7]), min_size=n_train,
+                               max_size=n_train)))
+    k = draw(st.integers(1, n_train))
+    metric = draw(st.sampled_from(["euclidean", "cosine", "minkowski3"]))
+    return x, y, q, k, metric
+
+
+class TestKnnSelection:
+    """The k-th-distance selection against the stable-argsort oracle."""
+
+    @given(tied_knn_case())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_stable_sort_on_tied_grids(self, case):
+        x, y, q, k, metric = case
+        got = knn_classify_batch(x, y, q, k=k, metric=metric)
+        assert np.array_equal(got, bincount_vote_knn(x, y, q, k, metric))
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_all_distances_equal_vote_the_first_k_rows(self, k):
+        x = np.zeros((7, 2))
+        y = np.array([5, 5, 2, 0, 0, 0, 0])
+        q = [[1.0, -1.0], [0.0, 0.0]]
+        got = knn_classify_batch(x, y, q, k=k)
+        want = np.bincount(y[:k]).argmax()
+        assert got.tolist() == [want, want]
+        assert np.array_equal(got, bincount_vote_knn(x, y, q, k))
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine", "minkowski3"])
+    def test_k_equals_n_train_votes_every_row(self, metric):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(9, 3)) + 2.0
+        y = np.array([1, 4, 4, 1, 4, 0, 1, 4, 1])  # 4 and 1 tie at four votes
+        got = knn_classify_batch(x, y, rng.normal(size=(5, 3)), k=9, metric=metric)
+        assert got.tolist() == [1] * 5
+
+    @pytest.mark.parametrize("query", [[0.0], [[0.0]]], ids=["1-D", "2-D"])
+    @pytest.mark.parametrize("k, want", [(1, 4), (2, 4), (3, 4), (4, 1), (5, 1)])
+    def test_duplicate_rows_straddling_the_kth_distance(self, query, k, want):
+        # distances 1, 0, 1, 2, 1: rows 0, 2 and 4 are duplicates at distance 1,
+        # so k = 2 and k = 3 keep only the earliest of them (row 0, then row 2);
+        # taking row 4 first would vote 1 at k = 2 and k = 3
+        x = np.array([[1.0], [0.0], [1.0], [2.0], [1.0]])
+        y = np.array([4, 4, 1, 0, 1])
+        got = knn_classify_batch(x, y, query, k=k)
+        assert got.tolist() == [want]
+        assert np.array_equal(got, bincount_vote_knn(x, y, query, k))
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine", "minkowski3"])
+    @pytest.mark.parametrize("side", ["query", "train"])
+    def test_nan_row_rejected(self, side, metric):
+        x = np.array([[1.0, 2.0], [2.0, 1.0], [3.0, 3.0]])
+        q = np.array([[1.0, 1.0], [2.0, 2.0]])
+        if side == "query":
+            q[1, 0] = np.nan
+        else:
+            x[2, 1] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            knn_classify_batch(x, np.array([0, 1, 2]), q, k=2, metric=metric)
+
+    def test_inf_query_under_euclidean_rejected(self):
+        # inf - inf in the expanded square gives a NaN distance
+        x = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="NaN"):
+            knn_classify_batch(x, np.array([0, 1]), [[np.inf, 1.0]], k=1)
 
 
 class TestGnb:

@@ -59,3 +59,16 @@ def test_features_and_isolines_demo():
     assert "  level   160: 2 isoline(s) (closed, closed)" in lines
     assert ("level 20 rings both bumps: 1 lines; "
             "level 200 rings only the 300-peak: 1 line(s)") in lines
+
+
+def test_cross_validation_demo():
+    # The mtnet row depends on the BLAS thread count; the kNN, GNB and least
+    # squares rows and the drop-column ranking do not.
+    proc = run_demo("05_cross_validation.py")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "360 frames, 10 folds" in lines
+    assert "knn       0.997+/-0.009          - 0.997+/-0.009" in lines
+    assert "gnb       0.989+/-0.014          - 0.989+/-0.014" in lines
+    assert "linreg                - 0.971+/-0.009            -" in lines
+    assert "  variance           +0.0028" in lines

@@ -104,6 +104,7 @@ class TestMetrics:
         assert np.all(out["precision"] == 1.0)
         assert np.all(out["recall"] == 1.0)
         assert np.all(out["f1"] == 1.0)
+        assert np.array_equal(out["confusion"], np.eye(3, dtype=int))
 
     def test_prf_zero_positive_convention(self):
         truth = [0, 0, 1, 1]
@@ -112,6 +113,7 @@ class TestMetrics:
         assert out["precision"][1] == 0.0
         assert out["recall"][1] == 0.0
         assert out["f1"][1] == 0.0
+        assert np.array_equal(out["confusion"], confusion_matrix(truth, pred, 2))
 
     def test_three_class_hand_matrix(self):
         # confusion rows=truth: [[2,1,0],[0,3,1],[1,0,2]]
@@ -120,6 +122,7 @@ class TestMetrics:
         m = confusion_matrix(truth, pred, 3)
         assert m.tolist() == [[2, 1, 0], [0, 3, 1], [1, 0, 2]]
         out = per_class_prf(truth, pred, 3)
+        assert np.array_equal(out["confusion"], m)
         assert out["precision"][0] == pytest.approx(2 / 3)
         assert out["recall"][0] == pytest.approx(2 / 3)
         assert out["precision"][1] == pytest.approx(3 / 4)
