@@ -47,7 +47,6 @@ from .baselines import (
     build_bmi_classes,
     gnb_classify,
     gnb_fit,
-    kmeans,
     linreg_fit,
     linreg_predict,
 )

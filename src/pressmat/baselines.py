@@ -1,8 +1,10 @@
 """Classical comparison models: kNN, Gaussian Naive Bayes, least squares,
-k-means, and the 5-way BMI class construction over subjects.
+k-means, and the 5-way BMI class construction over subjects, which is the
+exact 1-D k-means split of their BMIs and takes no seed.
 
 All tie-breaking is pinned (k-th-neighbour distance ties by training order,
-vote and argmax ties by smallest class id) so results are platform-deterministic.
+vote and argmax ties by smallest class id, BMI class cuts by the first
+minimum) so results are platform-deterministic.
 """
 
 from collections.abc import Mapping
@@ -132,7 +134,8 @@ def linreg_predict(model: LinearModel, x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# k-means
+# k-means (Lloyd). No pipeline path calls it; the benchmark's tracer wraps it
+# by name, so it goes with the tracer's k-means metrics.
 # ---------------------------------------------------------------------------
 
 def _sq_distances(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -223,27 +226,51 @@ def kmeans(
 # BMI class construction
 # ---------------------------------------------------------------------------
 
-def build_bmi_classes(
-    bmi_by_subject: Mapping[str, float],
-    k: int = 5,
-    seed: int = 0,
-) -> dict[str, int]:
-    """Cluster subjects' BMI values into k ordinal classes (0 leanest .. k-1 heaviest).
+def build_bmi_classes(bmi_by_subject: Mapping[str, float], k: int = 5) -> dict[str, int]:
+    """Split subjects into k ordinal BMI classes (0 leanest .. k-1 heaviest).
 
-    Subjects are clustered in id order; classes are relabeled in ascending
-    order of their members' mean BMI so ids are ordinal.
+    The split is the exact 1-D k-means optimum: the partition of the sorted
+    distinct BMI values, each weighted by its subject count, into k contiguous
+    segments with the least within-class sum of squares, found by dynamic
+    programming (Wang & Song 2011, *Ckmeans.1d.dp*). Subjects with equal BMIs
+    share a class and the segment index is the class id. Among equally good
+    splits, each class from the heaviest down starts at the lowest BMI it can.
+    Raises ValueError for k < 1 or fewer than k distinct BMIs.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     subject_ids = sorted(bmi_by_subject)
-    bmis = np.array([bmi_by_subject[s] for s in subject_ids], dtype=np.float64)
-    _, labels = kmeans(bmis[:, None], k, seed=seed)
+    values, inverse, counts = np.unique(
+        np.array([bmi_by_subject[s] for s in subject_ids], dtype=np.float64),
+        return_inverse=True, return_counts=True,
+    )
+    m = len(values)
+    if m < k:
+        raise ValueError(
+            f"insufficient diversity: {m} distinct BMI values for {k} classes"
+        )
+    # cost[i, j]: sum of squares of values[i:j], from prefix sums of the values
+    # shifted to values[i], so cancellation is bounded by the segment's spread
+    shifted = np.triu(values[None, :] - values[:, None])
+    weights = np.triu(np.broadcast_to(counts.astype(np.float64), (m, m)))
+    size = np.cumsum(weights, axis=1)
+    first = np.cumsum(weights * shifted, axis=1)
+    second = np.cumsum(weights * shifted * shifted, axis=1)
+    rows, last = np.triu_indices(m)
+    cost = np.full((m + 1, m + 1), np.inf)
+    cost[rows, last + 1] = second[rows, last] - first[rows, last] ** 2 / size[rows, last]
 
-    cluster_ids = []
-    for c in range(k):
-        members = bmis[labels == c]
-        if len(members) == 0:
-            raise ValueError(
-                "insufficient diversity: k-means left an empty BMI class"
-            )
-        cluster_ids.append((float(members.mean()), c))
-    order = {c: rank for rank, (_, c) in enumerate(sorted(cluster_ids))}
-    return {sid: order[int(labels[i])] for i, sid in enumerate(subject_ids)}
+    best = cost[0]  # best[j]: least cost of values[:j] in the classes so far
+    starts = []     # per added class, the best start of that class for each end j
+    for _ in range(1, k):
+        total = best[:, None] + cost
+        start = total.argmin(axis=0)  # first minimum: the smallest start
+        starts.append(start)
+        best = total[start, np.arange(m + 1)]
+    labels = np.zeros(m, dtype=int)
+    end = m
+    for c in range(k - 1, 0, -1):
+        begin = int(starts[c - 1][end])
+        labels[begin:end] = c
+        end = begin
+    return {sid: int(labels[inverse[i]]) for i, sid in enumerate(subject_ids)}

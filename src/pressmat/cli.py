@@ -101,9 +101,7 @@ def cmd_train(args) -> int:
         config,
         feature_mask=table.mask,
     )
-    class_map = baselines.build_bmi_classes(
-        table.bmi_by_subject(), k=_n_bmi_classes(table), seed=args.seed
-    )
+    class_map = baselines.build_bmi_classes(table.bmi_by_subject(), k=_n_bmi_classes(table))
     labels = np.array([class_map[s] for s in table.subject_ids], dtype=int)
     mtnet.fit_bmi_class_head(model, table.active_matrix(), labels,
                              n_classes=int(labels.max()) + 1)

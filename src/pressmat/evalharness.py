@@ -2,12 +2,11 @@
 
 Folds are frame-level and stratified per subject, so every subject appears in
 every training split (identity classification needs that). Normalization is
-refit inside each training fold. BMI classes come from k-means over every
-subject's table-wide BMI, re-clustered in each fold with seed
-``plan.seed + fold``; since every fold trains on every subject, the clustered
-values are the same in each fold and only the seed differs. Drop-column runs
-reuse one class map per fold. Aggregates are mean and sample (n-1) standard
-deviation over folds; confusion matrices aggregate by summing counts.
+refit inside each training fold. BMI classes are the exact least-squares
+split of every subject's table-wide BMI (``baselines.build_bmi_classes``);
+they depend on the table alone, so each CV run builds them once and every
+fold scores against the same labels. Aggregates are mean and sample (n-1)
+standard deviation over folds; confusion matrices aggregate by summing counts.
 """
 
 import dataclasses
@@ -281,14 +280,13 @@ def run_cv(
     plan: FoldPlan,
     n_bmi_classes: int = N_BMI_CLASSES,
     config_echo: dict | None = None,
-    class_maps: dict[int, dict[str, int]] | None = None,
 ) -> EvaluationReport:
     """Train/test the recipe on every fold and aggregate metrics.
 
-    For a recipe that produces ``"bmi_class"``, each fold clusters the
-    subjects' BMI values into ``n_bmi_classes`` classes, seeded by
-    ``plan.seed + fold``, unless ``class_maps`` (fold -> map, shared by runs
-    over one plan and the same subject BMIs) holds it; built maps go there.
+    For a recipe that produces ``"bmi_class"``, the first fold that gets past
+    its checks builds the subjects' ``n_bmi_classes`` BMI classes and the later
+    folds reuse them; a build that raises fails its fold, and the next fold
+    tries again.
     A fold that raises ``ValueError`` (bad data; ``np.linalg.LinAlgError`` is
     one) is recorded and skipped, and two such failures abort the run. Any
     other exception is a programming error and propagates.
@@ -300,7 +298,7 @@ def run_cv(
     per_fold: list[dict] = []
     failed: list[dict] = []
     bmi_by_subject = table.bmi_by_subject()
-    class_maps = {} if class_maps is None else class_maps
+    bmi_class = None  # (n,) class per row, once built
 
     # confusion classes for identity
     m_classes = len(class_order)
@@ -317,13 +315,9 @@ def run_cv(
             missing = [class_order[i] for i in np.flatnonzero(train_counts == 0)]
             if missing:
                 raise ValueError(f"fold {fold}: subjects {missing} absent from training")
-            bmi_class = None
-            if "bmi_class" in recipe.produces:
-                if fold not in class_maps:
-                    class_maps[fold] = baselines.build_bmi_classes(
-                        bmi_by_subject, k=n_bmi_classes, seed=plan.seed + fold
-                    )
-                bmi_class = np.array([class_maps[fold][s] for s in class_order])[subject_idx]
+            if bmi_class is None and "bmi_class" in recipe.produces:
+                class_map = baselines.build_bmi_classes(bmi_by_subject, k=n_bmi_classes)
+                bmi_class = np.array([class_map[s] for s in class_order])[subject_idx]
             train = _fold_data(table, x, subject_idx, bmi_class, tr_idx, n_bmi_classes)
             test = _fold_data(table, x, subject_idx, bmi_class, te_idx, n_bmi_classes)
             preds = recipe.run_fold(train, test, seed=plan.seed + fold)
@@ -410,11 +404,9 @@ def drop_column_importance(
     """Metric change when each active feature is removed and the CV rerun.
 
     Positive values mean the feature helps (removing it hurts); negative
-    values are permitted. Dropping a column leaves every subject's BMI as it
-    is, so all 1 + n_active runs share one BMI class map per fold.
+    values are permitted.
     """
-    class_maps: dict[int, dict[str, int]] = {}
-    full = run_cv(table, recipe, plan, n_bmi_classes=n_bmi_classes, class_maps=class_maps)
+    full = run_cv(table, recipe, plan, n_bmi_classes=n_bmi_classes)
 
     def metric(report, name):
         entry = report.aggregate["scalars"].get(name)
@@ -426,7 +418,7 @@ def drop_column_importance(
     out: dict[str, dict[str, float]] = {}
     for j in table.active_indices:
         reduced = table.with_feature_dropped(int(j))
-        rep = run_cv(reduced, recipe, plan, n_bmi_classes=n_bmi_classes, class_maps=class_maps)
+        rep = run_cv(reduced, recipe, plan, n_bmi_classes=n_bmi_classes)
         entry: dict[str, float] = {}
         if full_acc is not None:
             entry["identity_accuracy"] = full_acc - metric(rep, "identity_accuracy")

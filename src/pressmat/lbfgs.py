@@ -204,7 +204,7 @@ class _Pairs:
 
 
 def minimize_lbfgs(fun, x0, max_iterations, memory=10, grad_tol=1e-6,
-                   loss_tol=1e-10, callback=None):
+                   loss_tol=1e-10):
     """Limited-memory BFGS with strong-Wolfe steps.
 
     The search direction comes from the compact representation of the
@@ -258,8 +258,6 @@ def minimize_lbfgs(fun, x0, max_iterations, memory=10, grad_tol=1e-6,
         rel = abs(f - f_new) / max(abs(f), abs(f_new), 1.0)
         x, f, g = x_new, f_new, g_new
         history.append(float(f))
-        if callback is not None:
-            callback(it, x, f, g)
         if rel < loss_tol:
             stop = "loss_tol"
             break

@@ -292,7 +292,7 @@ class TestFoldFailures:
 
 
 def shared_bmi_table():
-    """Five subjects, S03 and S04 at one BMI: any 5-class k-means leaves a class empty."""
+    """Five subjects, S03 and S04 at one BMI: four distinct BMIs make no 5 classes."""
     table = synthetic_table(n_subjects=5, frames=20, seed=30)
     bmi = np.where(table.subject_ids == "S04", 30.0, table.bmi)
     return dataclasses.replace(table, bmi=bmi)
@@ -315,14 +315,16 @@ def importance_without_sharing(table, recipe, plan, n_bmi_classes):
 
 
 class TestSharedClassMaps:
+    """Every fold of one run_cv call scores against one class map."""
+
     @pytest.fixture
     def build_calls(self, monkeypatch):
         calls = []
         build = baselines.build_bmi_classes
 
-        def counting(bmi_by_subject, k=5, seed=0):
-            calls.append(seed)
-            return build(bmi_by_subject, k=k, seed=seed)
+        def counting(bmi_by_subject, k=5):
+            calls.append(k)
+            return build(bmi_by_subject, k=k)
 
         monkeypatch.setattr(baselines, "build_bmi_classes", counting)
         return calls
@@ -333,24 +335,20 @@ class TestSharedClassMaps:
         plan = make_folds(table.subject_ids, n_folds=4, seed=2)
         shared = drop_column_importance(table, recipe, plan, n_bmi_classes=3)
         assert shared == importance_without_sharing(table, recipe, plan, 3)
-        maps = {}
-        for j in table.active_indices[:3]:
-            reduced = table.with_feature_dropped(int(j))
-            with_maps = run_cv(reduced, recipe, plan, n_bmi_classes=3, class_maps=maps)
-            alone = run_cv(reduced, recipe, plan, n_bmi_classes=3)
-            assert with_maps.to_document() == alone.to_document()
-        assert sorted(maps) == list(range(plan.n_folds))
 
-    def test_one_build_per_fold(self, build_calls):
+    def test_one_build_per_run_cv(self, build_calls):
         table = synthetic_table(n_subjects=4, frames=20, seed=32)
         plan = make_folds(table.subject_ids, n_folds=5, seed=7)
+        run_cv(table, KnnRecipe(k=3), plan, n_bmi_classes=3)
+        assert build_calls == [3]
+        build_calls.clear()
         drop_column_importance(table, KnnRecipe(k=3), plan, n_bmi_classes=3)
-        # unshared, the 1 + 14 runs would build 75 maps
-        assert build_calls == [7 + fold for fold in range(plan.n_folds)]
+        assert build_calls == [3] * (1 + len(table.active_indices))
 
     def test_least_squares_builds_no_classes(self, build_calls):
         table = synthetic_table(n_subjects=4, frames=20, seed=33)
         plan = make_folds(table.subject_ids, n_folds=5, seed=0)
+        run_cv(table, LinregRecipe(), plan, n_bmi_classes=3)
         drop_column_importance(table, LinregRecipe(), plan, n_bmi_classes=3)
         assert build_calls == []
 
@@ -360,29 +358,25 @@ class TestSharedClassMaps:
         calls = []
         build = baselines.build_bmi_classes
 
-        def fails_on_fold_1(bmi_by_subject, k=5, seed=0):
-            calls.append(seed)
-            if seed == 1:
-                raise ValueError("insufficient diversity: k-means left an empty BMI class")
-            return build(bmi_by_subject, k=k, seed=seed)
+        def fails_first(bmi_by_subject, k=5):
+            calls.append(k)
+            if len(calls) == 1:
+                raise ValueError("insufficient diversity: 2 distinct BMI values for 3 classes")
+            return build(bmi_by_subject, k=k)
 
-        monkeypatch.setattr(baselines, "build_bmi_classes", fails_on_fold_1)
-        maps = {}
-        report = run_cv(table, KnnRecipe(k=3), plan, n_bmi_classes=3, class_maps=maps)
-        assert [f["fold"] for f in report.failed_folds] == [1]
-        assert sorted(maps) == [0, 2, 3, 4]
-        calls.clear()
-        drop_column_importance(table, KnnRecipe(k=3), plan, n_bmi_classes=3)
-        # fold 1 fails the same way in each of the 15 runs; the others build once
-        assert sorted(calls) == [0] + [1] * 15 + [2, 3, 4]
+        monkeypatch.setattr(baselines, "build_bmi_classes", fails_first)
+        report = run_cv(table, KnnRecipe(k=3), plan, n_bmi_classes=3)
+        assert [f["fold"] for f in report.failed_folds] == [0]
+        assert "insufficient diversity" in report.failed_folds[0]["error"]
+        assert [f["fold"] for f in report.per_fold] == [1, 2, 3, 4]
+        assert calls == [3, 3]
 
-    def test_every_fold_failing_aborts_as_run_cv_does(self):
+    def test_every_fold_failing_aborts_as_run_cv_does(self, build_calls):
         table = shared_bmi_table()
         plan = make_folds(table.subject_ids, n_folds=4, seed=0)
-        maps = {}
         with pytest.raises(RuntimeError) as alone:
-            run_cv(table, KnnRecipe(k=3), plan, class_maps=maps)
-        assert maps == {}
+            run_cv(table, KnnRecipe(k=3), plan)
+        assert build_calls == [5, 5]  # fold 0 fails, fold 1 retries and fails
         with pytest.raises(RuntimeError) as shared:
             drop_column_importance(table, KnnRecipe(k=3), plan)
         assert str(alone.value).startswith("2 folds failed")
@@ -434,8 +428,8 @@ class TestClassesOnlyWhenUsed:
         report = run_cv(table, recorder, plan, n_bmi_classes=3)
         assert report.identity_classes == ["S1", "S10", "S2", "S3"]
         sid_to_idx = {s: i for i, s in enumerate(report.identity_classes)}
+        class_map = baselines.build_bmi_classes(table.bmi_by_subject(), k=3)
         for fold, (train, test) in enumerate(recorder.folds):
-            class_map = baselines.build_bmi_classes(table.bmi_by_subject(), k=3, seed=4 + fold)
             for got, idx in ((train, plan.train_indices(fold)), (test, plan.test_indices(fold))):
                 sids = table.subject_ids[idx]
                 want_idx = np.array([sid_to_idx[s] for s in sids], dtype=int)

@@ -100,15 +100,19 @@ class TestCompactDirection:
     ])
     def test_fits_follow_the_two_loop(self, monkeypatch, fun, x0):
         def fit():
-            iterates = []
-            res = minimize_lbfgs(fun, x0, max_iterations=40, memory=3,
-                                 callback=lambda it, x, f, g: iterates.append(x.copy()))
-            return res, np.array(iterates)
+            points = []  # every point the objective is evaluated at, line-search trials too
+
+            def recording(x):
+                points.append(x.copy())
+                return fun(x)
+
+            res = minimize_lbfgs(recording, x0, max_iterations=40, memory=3)
+            return res, np.array(points)
 
         res, xs = fit()
         monkeypatch.setattr(lbfgs._Pairs, "direction", two_loop_direction)
         ref, ref_xs = fit()
-        assert res.n_evaluations == ref.n_evaluations
+        assert res.n_evaluations == ref.n_evaluations == len(xs)
         assert xs.shape == ref_xs.shape
         np.testing.assert_allclose(xs, ref_xs, rtol=0, atol=1e-8)
 
