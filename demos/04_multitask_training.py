@@ -19,7 +19,6 @@ from pressmat import (
     train,
 )
 from pressmat.mtnet import fit_bmi_class_head, predict_bmi_class
-from pressmat.baselines import build_bmi_classes
 
 corpus = generate_corpus(
     n_subjects=5, frames_per_subject=60, postures=("supine", "left", "right"),
@@ -45,8 +44,7 @@ print(f"\ntraining identity accuracy: {acc:.3f}")
 print(f"training BMI RMSE: {np.sqrt((err ** 2).mean()):.3f}")
 
 # the 5-way BMI class head on fifth-layer activations
-classes = build_bmi_classes(table.bmi_by_subject(), k=5)
-labels = np.array([classes[s] for s in table.subject_ids])
+labels = table.bmi_classes()
 fit_bmi_class_head(model, X, labels)
 cls_acc = (predict_bmi_class(model, X) == labels).mean()
 print(f"BMI class head training accuracy: {cls_acc:.3f}")

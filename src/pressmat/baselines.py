@@ -1,6 +1,6 @@
 """Classical comparison models: kNN, Gaussian Naive Bayes, least squares,
-k-means, and the 5-way BMI class construction over subjects, which is the
-exact 1-D k-means split of their BMIs and takes no seed.
+k-means, and the one BMI class rule: the paper's 5 classes (one per subject
+when there are fewer), the exact 1-D k-means split of the BMIs, no seed.
 
 All tie-breaking is pinned (k-th-neighbour distance ties by training order,
 vote and argmax ties by smallest class id, BMI class cuts by the first
@@ -14,6 +14,7 @@ import numpy as np
 
 KNN_METRICS = ("euclidean", "cosine", "minkowski3")
 GNB_VAR_FLOOR = 1e-9    # keeps a constant feature's Gaussian finite
+N_BMI_CLASSES = 5       # the paper's BMI classes
 KMEANS_MAX_ITER = 100   # Lloyd iterations per restart
 
 
@@ -83,11 +84,11 @@ class GaussianNBModel:
     variances: np.ndarray   # (C, F), floored
 
 
-def gnb_fit(x: np.ndarray, y: np.ndarray, n_classes: int | None = None) -> GaussianNBModel:
+def gnb_fit(x: np.ndarray, y: np.ndarray) -> GaussianNBModel:
+    """One Gaussian per class id 0..max(y); a missing id raises ValueError."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=int)
-    if n_classes is None:
-        n_classes = int(y.max()) + 1
+    n_classes = int(y.max()) + 1
     counts = np.bincount(y, minlength=n_classes)
     for c in range(n_classes):
         if counts[c] == 0:
@@ -226,8 +227,9 @@ def kmeans(
 # BMI class construction
 # ---------------------------------------------------------------------------
 
-def build_bmi_classes(bmi_by_subject: Mapping[str, float], k: int = 5) -> dict[str, int]:
-    """Split subjects into k ordinal BMI classes (0 leanest .. k-1 heaviest).
+def build_bmi_classes(bmi_by_subject: Mapping[str, float], k: int | None = None) -> dict[str, int]:
+    """Split subjects into k ordinal BMI classes (0 leanest .. k-1 heaviest);
+    k defaults to ``N_BMI_CLASSES``, or one per subject when there are fewer.
 
     The split is the exact 1-D k-means optimum: the partition of the sorted
     distinct BMI values, each weighted by its subject count, into k contiguous
@@ -237,6 +239,8 @@ def build_bmi_classes(bmi_by_subject: Mapping[str, float], k: int = 5) -> dict[s
     splits, each class from the heaviest down starts at the lowest BMI it can.
     Raises ValueError for k < 1 or fewer than k distinct BMIs.
     """
+    if k is None:
+        k = min(N_BMI_CLASSES, len(bmi_by_subject))
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     subject_ids = sorted(bmi_by_subject)

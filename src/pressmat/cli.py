@@ -10,8 +10,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import adapters, baselines, evalharness, features, mtnet, preprocess, synthgen
 from .dataset import GridSpec, atomic_write_text, load_corpus, save_corpus
 from .evalharness import EvaluationReport
@@ -86,13 +84,9 @@ def _train_config(args) -> mtnet.TrainConfig:
     return mtnet.TrainConfig(max_iterations=args.max_iter, seed=args.seed)
 
 
-def _n_bmi_classes(table: features.FeatureTable) -> int:
-    """The paper's 5 BMI classes, or one per subject when there are fewer."""
-    return min(evalharness.N_BMI_CLASSES, len(set(table.subject_ids.tolist())))
-
-
 def cmd_train(args) -> int:
     table = features.load_feature_table(args.features)
+    labels = table.bmi_classes()  # a table without classes fails before training
     config = _train_config(args)
     model = mtnet.train(
         table.active_matrix(),
@@ -101,10 +95,7 @@ def cmd_train(args) -> int:
         config,
         feature_mask=table.mask,
     )
-    class_map = baselines.build_bmi_classes(table.bmi_by_subject(), k=_n_bmi_classes(table))
-    labels = np.array([class_map[s] for s in table.subject_ids], dtype=int)
-    mtnet.fit_bmi_class_head(model, table.active_matrix(), labels,
-                             n_classes=int(labels.max()) + 1)
+    mtnet.fit_bmi_class_head(model, table.active_matrix(), labels)
     mtnet.save_model(model, args.model_out)
     stats = model.train_result
     print(
@@ -119,13 +110,7 @@ def cmd_eval(args) -> int:
     table = features.load_feature_table(args.features)
     plan = evalharness.make_folds(table.subject_ids, n_folds=args.folds, seed=args.seed)
     recipe = _build_recipe(args)
-    report = evalharness.run_cv(
-        table,
-        recipe,
-        plan,
-        n_bmi_classes=_n_bmi_classes(table),
-        config_echo=_echo(args),
-    )
+    report = evalharness.run_cv(table, recipe, plan, config_echo=_echo(args))
     report.save(args.report_out)
     if args.per_fold_csv:
         report.save_per_fold_csv(args.per_fold_csv)
@@ -146,9 +131,7 @@ def cmd_importance(args) -> int:
     table = features.load_feature_table(args.features)
     plan = evalharness.make_folds(table.subject_ids, n_folds=args.folds, seed=args.seed)
     recipe = _build_recipe(args)
-    result = evalharness.drop_column_importance(
-        table, recipe, plan, n_bmi_classes=_n_bmi_classes(table)
-    )
+    result = evalharness.drop_column_importance(table, recipe, plan)
     doc = {"config_echo": _echo(args), "importance": result}
     atomic_write_text(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0

@@ -3,9 +3,10 @@
 Folds are frame-level and stratified per subject, so every subject appears in
 every training split (identity classification needs that). Normalization is
 refit inside each training fold. BMI classes are the exact least-squares
-split of every subject's table-wide BMI (``baselines.build_bmi_classes``);
-they depend on the table alone, so each CV run builds them once and every
-fold scores against the same labels. Aggregates are mean and sample (n-1)
+split of every subject's table-wide BMI (``FeatureTable.bmi_classes``, one
+rule for the class count); they depend on the table alone, so each CV run
+builds them once, before its first fold, and every fold scores against the
+same labels. Aggregates are mean and sample (n-1)
 standard deviation over folds; confusion matrices aggregate by summing counts.
 """
 
@@ -132,8 +133,7 @@ class FoldData:
     subject_ids: np.ndarray  # (n,) str
     subject_idx: np.ndarray  # (n,) int index into the class order
     bmi: np.ndarray          # (n,)
-    bmi_class: np.ndarray | None  # (n,) int in 0..n_bmi_classes-1, if the recipe uses it
-    n_bmi_classes: int
+    bmi_class: np.ndarray | None  # (n,) int class id, if the recipe uses it
 
 
 class MtnetRecipe:
@@ -148,8 +148,7 @@ class MtnetRecipe:
     def run_fold(self, train: FoldData, test: FoldData, seed: int) -> dict:
         config = dataclasses.replace(self.config, seed=seed)
         model = mtnet.train(train.x, train.subject_ids, train.bmi, config)
-        mtnet.fit_bmi_class_head(model, train.x, train.bmi_class,
-                                 n_classes=train.n_bmi_classes)
+        mtnet.fit_bmi_class_head(model, train.x, train.bmi_class)
         out = mtnet.forward(model, test.x)
         # Every fold trains on every subject, so the model's class order is
         # the report's and its argmax is already the subject index.
@@ -188,8 +187,7 @@ class GnbRecipe:
 
     def run_fold(self, train: FoldData, test: FoldData, seed: int) -> dict:
         id_model = baselines.gnb_fit(train.x, train.subject_idx)
-        cls_model = baselines.gnb_fit(train.x, train.bmi_class,
-                                      n_classes=train.n_bmi_classes)
+        cls_model = baselines.gnb_fit(train.x, train.bmi_class)
         return {
             "identity_pred_idx": baselines.gnb_classify(id_model, test.x),
             "bmi_class_pred": baselines.gnb_classify(cls_model, test.x),
@@ -210,9 +208,6 @@ class LinregRecipe:
 # ---------------------------------------------------------------------------
 # Cross-validation driver
 # ---------------------------------------------------------------------------
-
-N_BMI_CLASSES = 5
-
 
 @dataclass
 class EvaluationReport:
@@ -263,14 +258,13 @@ class EvaluationReport:
 
 
 def _fold_data(table: FeatureTable, x: np.ndarray, subject_idx: np.ndarray,
-               bmi_class: np.ndarray | None, idx: np.ndarray, n_bmi_classes: int) -> FoldData:
+               bmi_class: np.ndarray | None, idx: np.ndarray) -> FoldData:
     return FoldData(
         x=x[idx],
         subject_ids=table.subject_ids[idx],
         subject_idx=subject_idx[idx],
         bmi=table.bmi[idx],
         bmi_class=None if bmi_class is None else bmi_class[idx],
-        n_bmi_classes=n_bmi_classes,
     )
 
 
@@ -278,15 +272,13 @@ def run_cv(
     table: FeatureTable,
     recipe,
     plan: FoldPlan,
-    n_bmi_classes: int = N_BMI_CLASSES,
     config_echo: dict | None = None,
 ) -> EvaluationReport:
     """Train/test the recipe on every fold and aggregate metrics.
 
-    For a recipe that produces ``"bmi_class"``, the first fold that gets past
-    its checks builds the subjects' ``n_bmi_classes`` BMI classes and the later
-    folds reuse them; a build that raises fails its fold, and the next fold
-    tries again.
+    For a recipe that produces ``"bmi_class"``, the table's BMI classes are
+    built once, before the first fold; a table they cannot be built from
+    raises that ``ValueError`` before any fold runs.
     A fold that raises ``ValueError`` (bad data; ``np.linalg.LinAlgError`` is
     one) is recorded and skipped, and two such failures abort the run. Any
     other exception is a programming error and propagates.
@@ -297,15 +289,15 @@ def run_cv(
     x = table.active_matrix()
     per_fold: list[dict] = []
     failed: list[dict] = []
-    bmi_by_subject = table.bmi_by_subject()
-    bmi_class = None  # (n,) class per row, once built
+    bmi_class = table.bmi_classes() if "bmi_class" in recipe.produces else None
+    k_classes = 0 if bmi_class is None else int(bmi_class.max()) + 1
 
     # confusion classes for identity
     m_classes = len(class_order)
     agg_scalars: dict[str, list[float]] = {}
     agg_arrays: dict[str, list[np.ndarray]] = {}
     id_confusion_total = np.zeros((m_classes, m_classes), dtype=int)
-    cls_confusion_total = np.zeros((n_bmi_classes, n_bmi_classes), dtype=int)
+    cls_confusion_total = np.zeros((k_classes, k_classes), dtype=int)
 
     for fold in range(plan.n_folds):
         tr_idx = plan.train_indices(fold)
@@ -315,11 +307,8 @@ def run_cv(
             missing = [class_order[i] for i in np.flatnonzero(train_counts == 0)]
             if missing:
                 raise ValueError(f"fold {fold}: subjects {missing} absent from training")
-            if bmi_class is None and "bmi_class" in recipe.produces:
-                class_map = baselines.build_bmi_classes(bmi_by_subject, k=n_bmi_classes)
-                bmi_class = np.array([class_map[s] for s in class_order])[subject_idx]
-            train = _fold_data(table, x, subject_idx, bmi_class, tr_idx, n_bmi_classes)
-            test = _fold_data(table, x, subject_idx, bmi_class, te_idx, n_bmi_classes)
+            train = _fold_data(table, x, subject_idx, bmi_class, tr_idx)
+            test = _fold_data(table, x, subject_idx, bmi_class, te_idx)
             preds = recipe.run_fold(train, test, seed=plan.seed + fold)
 
             scalars: dict[str, float] = {}
@@ -346,7 +335,7 @@ def run_cv(
             if "bmi_class_pred" in preds:
                 cls_pred = np.asarray(preds["bmi_class_pred"], dtype=int)
                 scalars["bmi_class_accuracy"] = accuracy(cls_pred, test.bmi_class)
-                cm = confusion_matrix(test.bmi_class, cls_pred, n_bmi_classes)
+                cm = confusion_matrix(test.bmi_class, cls_pred, k_classes)
                 arrays["bmi_class_confusion"] = cm.tolist()
                 cls_confusion_total += cm
 
@@ -399,14 +388,13 @@ def drop_column_importance(
     table: FeatureTable,
     recipe,
     plan: FoldPlan,
-    n_bmi_classes: int = N_BMI_CLASSES,
 ) -> dict[str, dict[str, float]]:
     """Metric change when each active feature is removed and the CV rerun.
 
     Positive values mean the feature helps (removing it hurts); negative
     values are permitted.
     """
-    full = run_cv(table, recipe, plan, n_bmi_classes=n_bmi_classes)
+    full = run_cv(table, recipe, plan)
 
     def metric(report, name):
         entry = report.aggregate["scalars"].get(name)
@@ -418,7 +406,7 @@ def drop_column_importance(
     out: dict[str, dict[str, float]] = {}
     for j in table.active_indices:
         reduced = table.with_feature_dropped(int(j))
-        rep = run_cv(reduced, recipe, plan, n_bmi_classes=n_bmi_classes)
+        rep = run_cv(reduced, recipe, plan)
         entry: dict[str, float] = {}
         if full_acc is not None:
             entry["identity_accuracy"] = full_acc - metric(rep, "identity_accuracy")

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import baselines
 from .dataset import BMI_BAND, FEATURE_COUNT, Corpus, PressureFrame, atomic_write_text
 
 FEATURE_NAMES = (
@@ -315,6 +316,12 @@ class FeatureTable:
         """Each subject's BMI, taken from its first row."""
         sids, first = np.unique(self.subject_ids, return_index=True)
         return {sid: float(self.bmi[i]) for sid, i in zip(sids.tolist(), first)}
+
+    def bmi_classes(self) -> np.ndarray:
+        """Each row's BMI class: ``baselines.build_bmi_classes`` over every
+        subject's BMI, whose ValueError propagates."""
+        class_map = baselines.build_bmi_classes(self.bmi_by_subject())
+        return np.array([class_map[s] for s in self.subject_ids.tolist()], dtype=int)
 
     def active_matrix(self) -> np.ndarray:
         """The unmasked feature columns, the model-facing input."""

@@ -290,15 +290,16 @@ def fit_bmi_class_head(
     model: MultitaskModel,
     features: np.ndarray,
     class_labels: np.ndarray,
-    n_classes: int = 5,
     max_iterations: int = 2000,
 ) -> BmiClassHead:
     """Fit the post-hoc logistic head on fifth-layer activations.
 
-    Uses the trunk's weight-decay coefficient and runs L-BFGS until the
-    gradient max-norm is below ``GRAD_TOL`` (convex problem).
+    The head has one output per class id 0..max(class_labels); every id must
+    occur. Uses the trunk's weight-decay coefficient and runs L-BFGS until
+    the gradient max-norm is below ``GRAD_TOL`` (convex problem).
     """
     labels = np.asarray(class_labels, dtype=int)
+    n_classes = int(labels.max()) + 1
     present = set(labels.tolist())
     for c in range(n_classes):
         if c not in present:

@@ -199,6 +199,7 @@ def test_criterion_2_gradient_matches_finite_differences():
 # Criterion 3: synthetic end-to-end
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_3_synthetic_end_to_end():
     start = time.perf_counter()
     corpus = generate_corpus(

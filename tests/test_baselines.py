@@ -253,8 +253,8 @@ class TestGnb:
         assert np.isfinite(gnb_classify(model, [[1.0]])).all()
 
     def test_missing_class_rejected(self):
-        with pytest.raises(ValueError, match="class 2"):
-            gnb_fit(np.zeros((4, 1)), np.array([0, 0, 1, 1]), n_classes=3)
+        with pytest.raises(ValueError, match="class 1"):
+            gnb_fit(np.zeros((4, 1)), np.array([0, 0, 2, 2]))
 
 
 class TestLinreg:

@@ -5,11 +5,13 @@ import shlex
 import numpy as np
 import pytest
 
+from pressmat import mtnet
 from pressmat.cli import _build_recipe, build_parser, main
 from pressmat.dataset import load_corpus
-from pressmat.features import load_feature_table
+from pressmat.features import load_feature_table, save_feature_table
 
 from test_adapters import write_pmatdata_tree
+from test_evalharness import shared_bmi_table
 from pressmat.dataset import GridSpec
 
 
@@ -52,6 +54,17 @@ def test_readme_cli_block_parses():
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"README.md command does not parse: pressmat {shlex.join(argv)}")
+
+
+def test_train_rejects_a_table_without_classes_before_training(tmp_path, monkeypatch, capsys):
+    feats = str(tmp_path / "features.csv")
+    save_feature_table(shared_bmi_table(), feats)
+    trained = []
+    monkeypatch.setattr(mtnet, "train", lambda *args, **kwargs: trained.append(args))
+    assert run(["train", "--features", feats, "--model-out", str(tmp_path / "model.json"),
+                "--seed", "1"]) == 1
+    assert "insufficient diversity" in capsys.readouterr().err
+    assert trained == []
 
 
 @pytest.fixture

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -61,6 +63,7 @@ def test_features_and_isolines_demo():
             "level 200 rings only the 300-peak: 1 line(s)") in lines
 
 
+@pytest.mark.slow
 def test_cross_validation_demo():
     # The mtnet row depends on the BLAS thread count; the kNN, GNB and least
     # squares rows and the drop-column ranking do not.

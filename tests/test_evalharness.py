@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pressmat import baselines, features
+from pressmat.cli import main as cli_main
 from pressmat.evalharness import (
     EvaluationReport,
     GnbRecipe,
@@ -140,7 +141,7 @@ class TestRunCv:
     def test_knn_memorizes_clean_data(self):
         table = synthetic_table(n_subjects=4, frames=30, seed=1)
         plan = make_folds(table.subject_ids, n_folds=5, seed=0)
-        report = run_cv(table, KnnRecipe(k=1), plan, n_bmi_classes=4)
+        report = run_cv(table, KnnRecipe(k=1), plan)
         acc = report.aggregate["scalars"]["identity_accuracy"]["mean"]
         assert acc > 0.95
 
@@ -155,7 +156,7 @@ class TestRunCv:
                 return {"bmi_pred": np.full(len(test.bmi), train.bmi.mean())}
 
         plan = make_folds(table.subject_ids, n_folds=4, seed=0)
-        report = run_cv(table, ConstantRecipe(), plan, n_bmi_classes=3)
+        report = run_cv(table, ConstantRecipe(), plan)
         for entry in report.per_fold:
             assert entry["scalars"]["bmi_r2"] <= 1e-9
 
@@ -164,21 +165,21 @@ class TestRunCv:
         plan = make_folds(table.subject_ids, n_folds=4, seed=5)
         p1 = str(tmp_path / "r1.json")
         p2 = str(tmp_path / "r2.json")
-        run_cv(table, KnnRecipe(k=3), plan, n_bmi_classes=3).save(p1)
-        run_cv(table, KnnRecipe(k=3), plan, n_bmi_classes=3).save(p2)
+        run_cv(table, KnnRecipe(k=3), plan).save(p1)
+        run_cv(table, KnnRecipe(k=3), plan).save(p2)
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
     def test_linreg_recipe_reports_regression_only(self):
         table = synthetic_table(n_subjects=3, frames=20, seed=4)
         plan = make_folds(table.subject_ids, n_folds=4, seed=0)
-        report = run_cv(table, LinregRecipe(), plan, n_bmi_classes=3)
+        report = run_cv(table, LinregRecipe(), plan)
         assert "bmi_r2" in report.aggregate["scalars"]
         assert "identity_accuracy" not in report.aggregate["scalars"]
 
     def test_aggregate_mean_matches_folds(self):
         table = synthetic_table(n_subjects=3, frames=20, seed=6)
         plan = make_folds(table.subject_ids, n_folds=4, seed=0)
-        report = run_cv(table, KnnRecipe(k=3), plan, n_bmi_classes=3)
+        report = run_cv(table, KnnRecipe(k=3), plan)
         per_fold = [e["scalars"]["identity_accuracy"] for e in report.per_fold]
         agg = report.aggregate["scalars"]["identity_accuracy"]["mean"]
         assert agg == pytest.approx(np.mean(per_fold), abs=1e-12)
@@ -186,7 +187,7 @@ class TestRunCv:
     def test_confusion_total_counts_all_test_frames(self):
         table = synthetic_table(n_subjects=3, frames=20, seed=7)
         plan = make_folds(table.subject_ids, n_folds=4, seed=0)
-        report = run_cv(table, KnnRecipe(k=3), plan, n_bmi_classes=3)
+        report = run_cv(table, KnnRecipe(k=3), plan)
         total = np.asarray(report.aggregate["identity_confusion_total"]).sum()
         assert total == len(table)
 
@@ -194,24 +195,36 @@ class TestRunCv:
         table = synthetic_table(n_subjects=3, frames=12, seed=8)
         plan = make_folds(table.subject_ids, n_folds=3, seed=0)
         recipe = MtnetRecipe(TrainConfig(max_iterations=60, seed=0))
-        report = run_cv(table, recipe, plan, n_bmi_classes=3)
+        report = run_cv(table, recipe, plan)
         scalars = report.aggregate["scalars"]
         assert {"identity_accuracy", "bmi_r2", "bmi_rmse", "bmi_class_accuracy"} <= set(scalars)
 
     def test_report_round_trip(self, tmp_path):
         table = synthetic_table(n_subjects=3, frames=20, seed=9)
         plan = make_folds(table.subject_ids, n_folds=4, seed=0)
-        report = run_cv(table, KnnRecipe(k=3), plan, n_bmi_classes=3)
+        report = run_cv(table, KnnRecipe(k=3), plan)
         path = str(tmp_path / "report.json")
         report.save(path)
         loaded = EvaluationReport.load(path)
         assert loaded.aggregate == report.aggregate
         assert loaded.per_fold == report.per_fold
 
+    def test_three_subjects_get_three_classes_as_in_the_cli(self, tmp_path):
+        table = synthetic_table(n_subjects=3, frames=20, seed=13)
+        path = str(tmp_path / "features.csv")
+        features.save_feature_table(table, path)
+        out = str(tmp_path / "report.json")
+        assert cli_main(["eval", "--features", path, "--recipe", "gnb",
+                         "--seed", "4", "--report-out", out]) == 0
+        report = run_cv(table, GnbRecipe(), make_folds(table.subject_ids, n_folds=10, seed=4))
+        assert report.failed_folds == []
+        assert np.asarray(report.aggregate["bmi_class_confusion_total"]).shape == (3, 3)
+        assert report.aggregate == EvaluationReport.load(out).aggregate
+
     def test_per_fold_csv(self, tmp_path):
         table = synthetic_table(n_subjects=3, frames=20, seed=10)
         plan = make_folds(table.subject_ids, n_folds=4, seed=0)
-        report = run_cv(table, KnnRecipe(k=3), plan, n_bmi_classes=3)
+        report = run_cv(table, KnnRecipe(k=3), plan)
         path = str(tmp_path / "folds.csv")
         report.save_per_fold_csv(path)
         lines = open(path).read().strip().splitlines()
@@ -223,7 +236,7 @@ class TestDropColumnImportance:
     def test_single_signal_feature_dominates_r2(self):
         table = synthetic_table(n_subjects=4, frames=25, seed=11, subject_centers=False)
         plan = make_folds(table.subject_ids, n_folds=4, seed=0)
-        imp = drop_column_importance(table, LinregRecipe(), plan, n_bmi_classes=4)
+        imp = drop_column_importance(table, LinregRecipe(), plan)
         # feature index 4 ("mean") carries the BMI signal in the fixture
         assert imp["mean"]["bmi_r2"] > 0.2
         others = [v["bmi_r2"] for k, v in imp.items() if k != "mean"]
@@ -242,7 +255,7 @@ class TestDropColumnImportance:
             mask=table.mask,
         )
         plan = make_folds(table2.subject_ids, n_folds=4, seed=0)
-        imp = drop_column_importance(table2, LinregRecipe(), plan, n_bmi_classes=4)
+        imp = drop_column_importance(table2, LinregRecipe(), plan)
         assert abs(imp["mean"]["bmi_r2"]) < 0.05
         assert abs(imp["variance"]["bmi_r2"]) < 0.05
 
@@ -268,7 +281,7 @@ class TestFoldFailures:
     def test_single_failure_marked_and_skipped(self):
         table = synthetic_table(n_subjects=3, frames=20, seed=20)
         plan = make_folds(table.subject_ids, n_folds=4, seed=0)
-        report = run_cv(table, self.FlakyRecipe({1}), plan, n_bmi_classes=3)
+        report = run_cv(table, self.FlakyRecipe({1}), plan)
         assert [f["fold"] for f in report.failed_folds] == [1]
         assert len(report.per_fold) == 3
         assert "bmi_r2" in report.aggregate["scalars"]
@@ -277,7 +290,7 @@ class TestFoldFailures:
         table = synthetic_table(n_subjects=3, frames=20, seed=21)
         plan = make_folds(table.subject_ids, n_folds=4, seed=0)
         with pytest.raises(RuntimeError, match="2 folds failed"):
-            run_cv(table, self.FlakyRecipe({0, 2}), plan, n_bmi_classes=3)
+            run_cv(table, self.FlakyRecipe({0, 2}), plan)
 
     def test_programming_error_propagates(self):
         class BuggyRecipe(self.FlakyRecipe):
@@ -287,7 +300,7 @@ class TestFoldFailures:
         table = synthetic_table(n_subjects=3, frames=20, seed=22)
         plan = make_folds(table.subject_ids, n_folds=4, seed=0)
         with pytest.raises(TypeError, match="synthetic bug"):
-            run_cv(table, BuggyRecipe(set()), plan, n_bmi_classes=3)
+            run_cv(table, BuggyRecipe(set()), plan)
 
 
 
@@ -298,15 +311,15 @@ def shared_bmi_table():
     return dataclasses.replace(table, bmi=bmi)
 
 
-def importance_without_sharing(table, recipe, plan, n_bmi_classes):
+def importance_without_sharing(table, recipe, plan):
     """drop_column_importance as a loop of run_cv calls that each build their maps."""
     def mean(report, name):
         return report.aggregate["scalars"][name]["mean"]
 
-    full = run_cv(table, recipe, plan, n_bmi_classes=n_bmi_classes)
+    full = run_cv(table, recipe, plan)
     out = {}
     for j in table.active_indices:
-        rep = run_cv(table.with_feature_dropped(int(j)), recipe, plan, n_bmi_classes=n_bmi_classes)
+        rep = run_cv(table.with_feature_dropped(int(j)), recipe, plan)
         out[features.FEATURE_NAMES[int(j)]] = {
             name: mean(full, name) - mean(rep, name)
             for name in ("identity_accuracy", "bmi_r2") if name in full.aggregate["scalars"]
@@ -322,7 +335,7 @@ class TestSharedClassMaps:
         calls = []
         build = baselines.build_bmi_classes
 
-        def counting(bmi_by_subject, k=5):
+        def counting(bmi_by_subject, k=None):
             calls.append(k)
             return build(bmi_by_subject, k=k)
 
@@ -333,54 +346,34 @@ class TestSharedClassMaps:
     def test_matches_runs_that_share_nothing(self, recipe):
         table = synthetic_table(n_subjects=5, frames=20, seed=31).with_feature_dropped(9)
         plan = make_folds(table.subject_ids, n_folds=4, seed=2)
-        shared = drop_column_importance(table, recipe, plan, n_bmi_classes=3)
-        assert shared == importance_without_sharing(table, recipe, plan, 3)
+        shared = drop_column_importance(table, recipe, plan)
+        assert shared == importance_without_sharing(table, recipe, plan)
 
     def test_one_build_per_run_cv(self, build_calls):
         table = synthetic_table(n_subjects=4, frames=20, seed=32)
         plan = make_folds(table.subject_ids, n_folds=5, seed=7)
-        run_cv(table, KnnRecipe(k=3), plan, n_bmi_classes=3)
-        assert build_calls == [3]
+        run_cv(table, KnnRecipe(k=3), plan)
+        assert build_calls == [None]
         build_calls.clear()
-        drop_column_importance(table, KnnRecipe(k=3), plan, n_bmi_classes=3)
-        assert build_calls == [3] * (1 + len(table.active_indices))
+        drop_column_importance(table, KnnRecipe(k=3), plan)
+        assert build_calls == [None] * (1 + len(table.active_indices))
 
     def test_least_squares_builds_no_classes(self, build_calls):
         table = synthetic_table(n_subjects=4, frames=20, seed=33)
         plan = make_folds(table.subject_ids, n_folds=5, seed=0)
-        run_cv(table, LinregRecipe(), plan, n_bmi_classes=3)
-        drop_column_importance(table, LinregRecipe(), plan, n_bmi_classes=3)
+        run_cv(table, LinregRecipe(), plan)
+        drop_column_importance(table, LinregRecipe(), plan)
         assert build_calls == []
-
-    def test_failed_build_is_retried_not_stored(self, monkeypatch):
-        table = synthetic_table(n_subjects=4, frames=20, seed=34)
-        plan = make_folds(table.subject_ids, n_folds=5, seed=0)
-        calls = []
-        build = baselines.build_bmi_classes
-
-        def fails_first(bmi_by_subject, k=5):
-            calls.append(k)
-            if len(calls) == 1:
-                raise ValueError("insufficient diversity: 2 distinct BMI values for 3 classes")
-            return build(bmi_by_subject, k=k)
-
-        monkeypatch.setattr(baselines, "build_bmi_classes", fails_first)
-        report = run_cv(table, KnnRecipe(k=3), plan, n_bmi_classes=3)
-        assert [f["fold"] for f in report.failed_folds] == [0]
-        assert "insufficient diversity" in report.failed_folds[0]["error"]
-        assert [f["fold"] for f in report.per_fold] == [1, 2, 3, 4]
-        assert calls == [3, 3]
 
     def test_every_fold_failing_aborts_as_run_cv_does(self, build_calls):
         table = shared_bmi_table()
         plan = make_folds(table.subject_ids, n_folds=4, seed=0)
-        with pytest.raises(RuntimeError) as alone:
+        with pytest.raises(ValueError) as alone:
             run_cv(table, KnnRecipe(k=3), plan)
-        assert build_calls == [5, 5]  # fold 0 fails, fold 1 retries and fails
-        with pytest.raises(RuntimeError) as shared:
+        assert build_calls == [None]  # one build, before any fold
+        with pytest.raises(ValueError) as shared:
             drop_column_importance(table, KnnRecipe(k=3), plan)
-        assert str(alone.value).startswith("2 folds failed")
-        assert "insufficient diversity" in str(alone.value)
+        assert str(alone.value) == "insufficient diversity: 4 distinct BMI values for 5 classes"
         assert str(shared.value) == str(alone.value)
 
 
@@ -410,8 +403,18 @@ class TestClassesOnlyWhenUsed:
         recorder = self.Recorder(("identity", "bmi"))
         run_cv(table, recorder, plan)
         assert all(tr.bmi_class is None and te.bmi_class is None for tr, te in recorder.folds)
-        with pytest.raises(RuntimeError, match="2 folds failed.*insufficient diversity"):
+        with pytest.raises(ValueError, match="insufficient diversity"):
             run_cv(table, KnnRecipe(k=3), plan)
+
+    def test_unbuildable_classes_raise_before_any_fold(self):
+        table = shared_bmi_table()
+        plan = make_folds(table.subject_ids, n_folds=4, seed=0)
+        recorder = self.Recorder(("identity", "bmi", "bmi_class"))
+        with pytest.raises(ValueError, match="insufficient diversity"):
+            run_cv(table, recorder, plan)
+        with pytest.raises(ValueError, match="insufficient diversity"):
+            drop_column_importance(table, recorder, plan)
+        assert recorder.folds == []
 
     def test_fold_arrays_match_the_per_row_lookup(self):
         names = ["S2", "S10", "S1", "S3"]  # sorted: S1, S10, S2, S3
@@ -425,10 +428,10 @@ class TestClassesOnlyWhenUsed:
         ).with_feature_dropped(2)
         plan = make_folds(table.subject_ids, n_folds=5, seed=4)
         recorder = self.Recorder(("identity", "bmi", "bmi_class"))
-        report = run_cv(table, recorder, plan, n_bmi_classes=3)
+        report = run_cv(table, recorder, plan)
         assert report.identity_classes == ["S1", "S10", "S2", "S3"]
         sid_to_idx = {s: i for i, s in enumerate(report.identity_classes)}
-        class_map = baselines.build_bmi_classes(table.bmi_by_subject(), k=3)
+        class_map = baselines.build_bmi_classes(table.bmi_by_subject())
         for fold, (train, test) in enumerate(recorder.folds):
             for got, idx in ((train, plan.train_indices(fold)), (test, plan.test_indices(fold))):
                 sids = table.subject_ids[idx]
