@@ -32,6 +32,7 @@ from .dataset import (
     SubjectRecord,
     load_posture_table,
     merge_postures,
+    read_csv,
 )
 
 PMATDATA_GRID = GridSpec(rows=32, cols=64, sensor_ceiling=1000.0, frame_rate_hz=1.5)
@@ -45,41 +46,27 @@ SESSION_GAP = 2  # frame-index gap separating merged recordings
 
 def read_subjects_csv(path: str) -> dict[str, SubjectRecord]:
     """Subject table with columns subject_id, height_m|height_cm, weight_kg, age_years."""
-    subjects: dict[str, SubjectRecord] = {}
     with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[0] != "subject_id":
-            raise ValueError(f"{path}: line 1: expected a subject table header")
-        cols = {name: i for i, name in enumerate(header)}
-        if "height_m" in cols:
-            h_col, h_scale = cols["height_m"], 1.0
-        elif "height_cm" in cols:
-            h_col, h_scale = cols["height_cm"], 0.01
-        else:
-            raise ValueError(f"{path}: need a height_m or height_cm column")
-        if "weight_kg" not in cols:
-            raise ValueError(f"{path}: need a weight_kg column")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < len(header):
-                raise ValueError(
-                    f"{path}: line {lineno}: {len(row)} fields, header has {len(header)}"
-                )
-            sid = row[cols["subject_id"]]
-            if sid in subjects:
-                raise ValueError(f"{path}: line {lineno}: duplicate subject_id {sid!r}")
-            age_raw = row[cols["age_years"]] if "age_years" in cols else ""
-            try:
-                subjects[sid] = SubjectRecord(
-                    subject_id=sid,
-                    height_m=float(row[h_col]) * h_scale,
-                    weight_kg=float(row[cols["weight_kg"]]),
-                    age_years=float(age_raw) if age_raw != "" else None,
-                )
-            except ValueError as e:
-                raise ValueError(f"{path}: line {lineno}: {e}") from e
+        header = next(csv.reader(fh), None)
+    if not header or header[0] != "subject_id":
+        raise ValueError(f"{path}: line 1: expected a subject table header")
+    cols = {name: i for i, name in enumerate(header)}
+    if "height_m" in cols:
+        h_col, h_scale = cols["height_m"], 1.0
+    elif "height_cm" in cols:
+        h_col, h_scale = cols["height_cm"], 0.01
+    else:
+        raise ValueError(f"{path}: need a height_m or height_cm column")
+    if "weight_kg" not in cols:
+        raise ValueError(f"{path}: need a weight_kg column")
+    age_col = cols.get("age_years")
+
+    def parse(row, line):
+        age = "" if age_col is None else row[age_col]
+        return SubjectRecord(row[0], float(row[h_col]) * h_scale, float(row[cols["weight_kg"]]),
+                             float(age) if age != "" else None)
+
+    subjects = {s.subject_id: s for s in read_csv(path, header, parse, ["subject_id"])}
     if not subjects:
         raise ValueError(f"{path}: no subjects found")
     return subjects

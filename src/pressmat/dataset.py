@@ -13,6 +13,7 @@ with ``repr`` (shortest round-trip form).
 
 import csv
 import json
+import operator
 import os
 import shutil
 import tempfile
@@ -27,6 +28,9 @@ FEATURE_COUNT = 14
 MANIFEST_NAME = "manifest.json"
 SUBJECTS_NAME = "subjects.csv"
 FRAMES_NAME = "frames.csv"
+SUBJECTS_HEADER = ["subject_id", "height_m", "weight_kg", "age_years"]
+# The columns that name a frame in frames.csv and features.csv; no two rows share them.
+FRAME_KEY = ["subject_id", "posture_id", "frame_index"]
 
 # Open interval of plausible BMI values (kg/m^2); anything outside is bad input.
 BMI_BAND = (10.0, 60.0)
@@ -270,7 +274,7 @@ def save_corpus(corpus: Corpus, root_path: str, extra_manifest: dict | None = No
 
         with open(os.path.join(tmp, SUBJECTS_NAME), "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
-            w.writerow(["subject_id", "height_m", "weight_kg", "age_years"])
+            w.writerow(SUBJECTS_HEADER)
             for sid in sorted(corpus.subjects):
                 rec = corpus.subjects[sid]
                 age = "" if rec.age_years is None else _fmt(rec.age_years)
@@ -278,9 +282,7 @@ def save_corpus(corpus: Corpus, root_path: str, extra_manifest: dict | None = No
 
         with open(os.path.join(tmp, FRAMES_NAME), "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
-            header = ["subject_id", "posture_id", "frame_index"]
-            header += [f"v{i}" for i in range(corpus.grid.n_cells)]
-            w.writerow(header)
+            w.writerow(_frames_header(corpus.grid))
             for f in corpus.frames:
                 # repr of a Python float is _fmt of the numpy scalar, without boxing each cell
                 row = [f.subject_id, str(f.posture_id), str(f.frame_index)]
@@ -293,6 +295,43 @@ def save_corpus(corpus: Corpus, root_path: str, extra_manifest: dict | None = No
     except Exception:
         shutil.rmtree(tmp, ignore_errors=True)
         raise
+
+
+def _frames_header(grid: GridSpec) -> list[str]:
+    return FRAME_KEY + [f"v{i}" for i in range(grid.n_cells)]
+
+
+def read_csv(path: str, header: list[str], parse, key: list[str],
+             error: type[Exception] = ValueError) -> list:
+    """``parse(row, line)`` of each data row of a CSV file, in file order.
+
+    The first row must equal ``header``, blank rows are skipped, every other
+    row has ``len(header)`` fields, and no two items agree on the attributes
+    named in ``key``. A breach, or a ValueError from ``parse``, raises
+    ``error("<path>: line <n>: ...")``.
+    """
+    get_key = operator.attrgetter(*key)
+    first_line: dict = {}
+    items = []
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != header:
+            raise error(f"{path}: line 1: bad header, expected {len(header)} fields "
+                        f"{header[0]} .. {header[-1]}")
+        for line, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+                items.append(parse(row, line))
+                k = get_key(items[-1])
+                if first_line.setdefault(k, line) != line:
+                    raise ValueError(f"duplicate {', '.join(key)} {k!r}, "
+                                     f"first on line {first_line[k]}")
+            except ValueError as e:
+                raise error(f"{path}: line {line}: {e}") from e
+    return items
 
 
 def load_corpus(root_path: str) -> Corpus:
@@ -329,75 +368,22 @@ def load_corpus(root_path: str) -> Corpus:
             f"{manifest_path}: feature_mask must have {FEATURE_COUNT} entries"
         )
 
-    subjects: dict[str, SubjectRecord] = {}
-    with open(subjects_path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["subject_id", "height_m", "weight_kg", "age_years"]:
-            raise CorpusLoadError(f"{subjects_path}: line 1: bad header {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise CorpusLoadError(
-                    f"{subjects_path}: line {lineno}: expected 4 fields, got {len(row)}"
-                )
-            sid, height, weight, age = row
-            try:
-                rec = SubjectRecord(
-                    subject_id=sid,
-                    height_m=float(height),
-                    weight_kg=float(weight),
-                    age_years=float(age) if age != "" else None,
-                )
-            except ValueError as e:
-                raise CorpusLoadError(f"{subjects_path}: line {lineno}: {e}") from e
-            if sid in subjects:
-                raise CorpusLoadError(
-                    f"{subjects_path}: line {lineno}: duplicate subject {sid!r}"
-                )
-            subjects[sid] = rec
+    def parse_subject(row, line):
+        sid, height, weight, age = row
+        return SubjectRecord(sid, float(height), float(weight),
+                             float(age) if age != "" else None)
 
-    frames: list[PressureFrame] = []
-    n_cells = grid.n_cells
-    with open(frames_path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        expected = ["subject_id", "posture_id", "frame_index"] + [
-            f"v{i}" for i in range(n_cells)
-        ]
-        if header != expected:
-            raise CorpusLoadError(f"{frames_path}: line 1: bad header for {grid.rows}x{grid.cols} grid")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3 + n_cells:
-                raise CorpusLoadError(
-                    f"{frames_path}: line {lineno}: expected {3 + n_cells} fields, got {len(row)}"
-                )
-            sid = row[0]
-            if sid not in subjects:
-                raise CorpusLoadError(
-                    f"{frames_path}: line {lineno}: unknown subject {sid!r}"
-                )
-            try:
-                posture = int(row[1])
-                index = int(row[2])
-                values = np.asarray(row[3:], dtype=np.float64)
-            except ValueError as e:
-                raise CorpusLoadError(f"{frames_path}: line {lineno}: {e}") from e
-            try:
-                frames.append(
-                    PressureFrame(
-                        grid=grid,
-                        values=values,
-                        subject_id=sid,
-                        posture_id=posture,
-                        frame_index=index,
-                    )
-                )
-            except ValueError as e:
-                raise CorpusLoadError(f"{frames_path}: line {lineno}: {e}") from e
+    subjects = {s.subject_id: s for s in read_csv(
+        subjects_path, SUBJECTS_HEADER, parse_subject, ["subject_id"], CorpusLoadError)}
+
+    def parse_frame(row, line):
+        if row[0] not in subjects:
+            raise ValueError(f"unknown subject {row[0]!r}")
+        return PressureFrame(grid, np.asarray(row[3:], dtype=np.float64),
+                             row[0], int(row[1]), int(row[2]))
+
+    frames = read_csv(frames_path, _frames_header(grid), parse_frame, FRAME_KEY,
+                      CorpusLoadError)
 
     try:
         return Corpus(

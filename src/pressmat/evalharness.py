@@ -57,11 +57,17 @@ def make_folds(subject_ids, n_folds: int = 10, seed: int = 0) -> FoldPlan:
 # Metrics
 # ---------------------------------------------------------------------------
 
-def r2(pred, truth) -> float:
-    pred = np.asarray(pred, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
+def _paired(name: str, pred, truth, dtype=None) -> tuple[np.ndarray, np.ndarray]:
+    """Both inputs as arrays; ``name`` is the metric cited when they do not pair."""
+    pred = np.asarray(pred, dtype=dtype)
+    truth = np.asarray(truth, dtype=dtype)
     if len(pred) == 0 or len(pred) != len(truth):
-        raise ValueError("r2 needs equal non-zero-length inputs")
+        raise ValueError(f"{name} needs equal non-zero-length inputs")
+    return pred, truth
+
+
+def r2(pred, truth) -> float:
+    pred, truth = _paired("r2", pred, truth, np.float64)
     ss_tot = float(((truth - truth.mean()) ** 2).sum())
     if ss_tot == 0:
         raise ValueError("r2 undefined for constant truth")
@@ -70,27 +76,18 @@ def r2(pred, truth) -> float:
 
 
 def rmse(pred, truth) -> float:
-    pred = np.asarray(pred, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    if len(pred) == 0 or len(pred) != len(truth):
-        raise ValueError("rmse needs equal non-zero-length inputs")
+    pred, truth = _paired("rmse", pred, truth, np.float64)
     return float(np.sqrt(((truth - pred) ** 2).mean()))
 
 
 def accuracy(pred, truth) -> float:
-    pred = np.asarray(pred)
-    truth = np.asarray(truth)
-    if len(pred) == 0 or len(pred) != len(truth):
-        raise ValueError("accuracy needs equal non-zero-length inputs")
+    pred, truth = _paired("accuracy", pred, truth)
     return float((pred == truth).mean())
 
 
 def confusion_matrix(truth, pred, n_classes: int) -> np.ndarray:
     """Counts with rows = truth, columns = prediction."""
-    truth = np.asarray(truth, dtype=int)
-    pred = np.asarray(pred, dtype=int)
-    if len(pred) == 0 or len(pred) != len(truth):
-        raise ValueError("confusion_matrix needs equal non-zero-length inputs")
+    pred, truth = _paired("confusion_matrix", pred, truth, int)
     m = np.zeros((n_classes, n_classes), dtype=int)
     np.add.at(m, (truth, pred), 1)
     return m

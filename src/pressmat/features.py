@@ -15,12 +15,15 @@ kurtosis = 0.
 import csv
 import io
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import baselines
-from .dataset import BMI_BAND, FEATURE_COUNT, Corpus, PressureFrame, atomic_write_text
+from .dataset import (
+    BMI_BAND, FEATURE_COUNT, FRAME_KEY, Corpus, PressureFrame, atomic_write_text, read_csv,
+)
 
 FEATURE_NAMES = (
     "max",
@@ -360,11 +363,7 @@ def extract_table(corpus: Corpus) -> FeatureTable:
     )
 
 
-FEATURES_CSV_HEADER = (
-    ["subject_id", "posture_id", "frame_index"]
-    + [f"f{i}" for i in range(FEATURE_COUNT)]
-    + ["bmi"]
-)
+FEATURES_CSV_HEADER = FRAME_KEY + [f"f{i}" for i in range(FEATURE_COUNT)] + ["bmi"]
 
 
 def save_feature_table(table: FeatureTable, path: str) -> None:
@@ -386,6 +385,9 @@ def save_feature_table(table: FeatureTable, path: str) -> None:
     atomic_write_text(path, buf.getvalue())
 
 
+_FeatureRow = namedtuple("_FeatureRow", FRAME_KEY + ["values", "bmi"])
+
+
 def load_feature_table(path: str) -> FeatureTable:
     """Read features.csv; a uniformly empty feature column is a masked feature.
 
@@ -394,56 +396,29 @@ def load_feature_table(path: str) -> FeatureTable:
     ``(subject_id, posture_id, frame_index)`` key may repeat.
     """
     lo, hi = BMI_BAND
-    subject_ids: list[str] = []
-    posture_ids: list[int] = []
-    frame_indices: list[int] = []
-    rows: list[list[float]] = []
-    bmi: list[float] = []
     first_bmi: dict[str, tuple[float, int]] = {}
-    first_line: dict[tuple[str, int, int], int] = {}
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != FEATURES_CSV_HEADER:
-            raise ValueError(f"{path}: line 1: bad features.csv header")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(FEATURES_CSV_HEADER):
-                raise ValueError(f"{path}: line {lineno}: wrong field count")
-            sid = row[0]
-            subject_ids.append(sid)
-            try:
-                posture_ids.append(int(row[1]))
-                frame_indices.append(int(row[2]))
-                key = (sid, posture_ids[-1], frame_indices[-1])
-                first = first_line.setdefault(key, lineno)
-                if first != lineno:
-                    raise ValueError(f"row key {key} repeats line {first}")
-                cells = row[3:-1]
-                values = [float(c) if c != "" else np.nan for c in cells]
-                if not all(map(math.isfinite, values)):  # empty (masked) cells are NaN
-                    for c, v in zip(cells, values):
-                        if c != "" and not math.isfinite(v):
-                            raise ValueError(f"non-finite feature cell {c!r}")
-                rows.append(values)
-                b = float(row[-1])
-                if not (lo < b < hi):
-                    raise ValueError(f"bmi {row[-1]!r} outside sanity band ({lo:g}, {hi:g})")
-                prev = first_bmi.setdefault(sid, (b, lineno))
-                if b != prev[0]:
-                    raise ValueError(
-                        f"subject {sid!r} bmi {row[-1]!r} differs from "
-                        f"{prev[0]!r} on line {prev[1]}"
-                    )
-                bmi.append(b)
-            except ValueError as e:
-                raise ValueError(f"{path}: line {lineno}: {e}") from e
-    x = (
-        np.asarray(rows, dtype=np.float64)
-        if rows
-        else np.empty((0, FEATURE_COUNT))
-    )
+
+    def parse(row, line):
+        sid, posture, index = row[0], int(row[1]), int(row[2])
+        cells = row[3:-1]
+        values = [float(c) if c != "" else np.nan for c in cells]
+        if not all(map(math.isfinite, values)):  # empty (masked) cells are NaN
+            for c, v in zip(cells, values):
+                if c != "" and not math.isfinite(v):
+                    raise ValueError(f"non-finite feature cell {c!r}")
+        b = float(row[-1])
+        if not (lo < b < hi):
+            raise ValueError(f"bmi {row[-1]!r} outside sanity band ({lo:g}, {hi:g})")
+        prev = first_bmi.setdefault(sid, (b, line))
+        if b != prev[0]:
+            raise ValueError(
+                f"subject {sid!r} bmi {row[-1]!r} differs from {prev[0]!r} on line {prev[1]}"
+            )
+        return _FeatureRow(sid, posture, index, values, b)
+
+    rows = read_csv(path, FEATURES_CSV_HEADER, parse, FRAME_KEY)
+    sids, postures, indices, x, bmi = zip(*rows) if rows else [()] * 5
+    x = np.asarray(x, dtype=np.float64).reshape(-1, FEATURE_COUNT)
     if len(x):
         nan_cols = np.isnan(x).any(axis=0)
         full_nan = np.isnan(x).all(axis=0)
@@ -454,9 +429,9 @@ def load_feature_table(path: str) -> FeatureTable:
     else:
         mask = FULL_MASK
     return FeatureTable(
-        subject_ids=np.array(subject_ids),
-        posture_ids=np.array(posture_ids, dtype=int),
-        frame_indices=np.array(frame_indices, dtype=int),
+        subject_ids=np.array(sids),
+        posture_ids=np.array(postures, dtype=int),
+        frame_indices=np.array(indices, dtype=int),
         X=x,
         bmi=np.array(bmi),
         mask=mask,

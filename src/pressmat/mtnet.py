@@ -376,6 +376,9 @@ def load_model(path: str) -> MultitaskModel:
         raise ValueError(f"{path}: not a {MODEL_FORMAT} file")
     if doc.get("version") != MODEL_VERSION:
         raise ValueError(f"{path}: unsupported model version {doc.get('version')}")
+    if doc.get("hidden_sizes") != list(HIDDEN_SIZES):
+        raise ValueError(
+            f"{path}: hidden sizes {doc.get('hidden_sizes')} are not {list(HIDDEN_SIZES)}")
     stored_mask = doc.get("feature_mask")
     cfg = TrainConfig(**doc["config"])
     head = None
@@ -384,7 +387,7 @@ def load_model(path: str) -> MultitaskModel:
             weight=np.asarray(doc["class_head"]["weight"], dtype=np.float64),
             bias=np.asarray(doc["class_head"]["bias"], dtype=np.float64),
         )
-    return MultitaskModel(
+    model = MultitaskModel(
         weights=[np.asarray(w, dtype=np.float64) for w in doc["weights"]],
         biases=[np.asarray(b, dtype=np.float64) for b in doc["biases"]],
         subject_ids=tuple(doc["subject_ids"]),
@@ -394,3 +397,13 @@ def load_model(path: str) -> MultitaskModel:
         config=cfg,
         class_head=head,
     )
+    dims = _layer_dims(len(model.norm_mean), model.n_subjects)  # trunk, then both heads
+    weights, biases = model.weights, model.biases
+    if head is not None:  # reads the last trunk layer, like the other heads
+        dims.append((HIDDEN_SIZES[-1], np.size(head.bias)))
+        weights, biases = weights + [head.weight], biases + [head.bias]
+    if [np.shape(a) for a in weights + biases] != dims + [d[1:] for d in dims]:
+        raise ValueError(f"{path}: weight and bias shapes do not chain from "
+                         f"{len(model.norm_mean)} features through the trunk to the "
+                         f"heads for {model.n_subjects} subjects and BMI")
+    return model

@@ -8,6 +8,7 @@ below 14,500 apply the documented 2-point threshold concession.
 
 import math
 import os
+import pathlib
 import time
 
 import numpy as np
@@ -296,7 +297,7 @@ def test_criterion_6_cli_determinism(tmp_path):
             "eval", "--features", f, "--recipe", "knn", "--folds", "5",
             "--seed", "13", "--report-out", r,
         ]) == 0
-        return open(f, "rb").read(), open(r, "rb").read()
+        return pathlib.Path(f).read_bytes(), pathlib.Path(r).read_bytes()
 
     f1, r1 = pipeline()
     f2, r2_ = pipeline()

@@ -142,5 +142,5 @@ class TestSubjectsCsv:
     def test_short_row_cites_line(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_text("subject_id,height_m,weight_kg,age_years\nA,1.75,70,30\nB,1.80\n")
-        with pytest.raises(ValueError, match=r"s\.csv: line 3: 2 fields, header has 4"):
+        with pytest.raises(ValueError, match=r"s\.csv: line 3: expected 4 fields, got 2$"):
             read_subjects_csv(str(p))

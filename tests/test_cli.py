@@ -1,5 +1,6 @@
 import json
 import os
+import pathlib
 import shlex
 
 import numpy as np
@@ -93,7 +94,7 @@ class TestSynth:
         assert code == 0
         corpus = load_corpus(out)
         assert len(corpus.frames) == 6
-        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        manifest = json.loads(pathlib.Path(out, "manifest.json").read_text())
         assert manifest["provenance"]["seed"] == 1
 
     def test_bad_posture_fails_nonzero(self, tmp_path, capsys):
@@ -129,7 +130,7 @@ class TestPipeline:
             "eval", "--features", feats, "--recipe", "knn", "--folds", "5",
             "--seed", "3", "--report-out", report_path,
         ]) == 0
-        doc = json.load(open(report_path))
+        doc = json.loads(pathlib.Path(report_path).read_text())
         assert doc["config_echo"]["recipe"] == "knn"
         assert len(doc["per_fold"]) == 5
         assert run(["report", "--in", report_path, "--format", "text"]) == 0
@@ -162,7 +163,7 @@ class TestPipeline:
             "train", "--features", feats, "--model-out", model_path,
             "--max-iter", "30", "--seed", "4",
         ]) == 0
-        doc = json.load(open(model_path))
+        doc = json.loads(pathlib.Path(model_path).read_text())
         assert doc["format"] == "pressmat-multitask-model"
         assert doc["config"]["seed"] == 4
 
@@ -173,7 +174,7 @@ class TestPipeline:
             "importance", "--features", feats, "--recipe", "knn",
             "--folds", "4", "--seed", "0", "--out", out,
         ]) == 0
-        doc = json.load(open(out))
+        doc = json.loads(pathlib.Path(out).read_text())
         assert set(doc["importance"]) == {
             "max", "mode", "range", "entropy", "mean", "variance", "skewness",
             "kurtosis", "nonzero_count", "count_20_60", "count_60_100",
@@ -237,7 +238,7 @@ class TestDeterminism:
                 "eval", "--features", f, "--recipe", "knn", "--folds", "4",
                 "--seed", "7", "--report-out", r,
             ]) == 0
-            return open(f, "rb").read(), open(r, "rb").read()
+            return pathlib.Path(f).read_bytes(), pathlib.Path(r).read_bytes()
 
         f1, r1 = pipeline()
         f2, r2 = pipeline()  # identical command sequence rerun over the same paths

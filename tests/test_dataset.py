@@ -18,6 +18,8 @@ from pressmat.dataset import (
     merge_postures,
     save_corpus,
 )
+from pressmat.adapters import read_subjects_csv
+from pressmat.features import extract_table, load_feature_table, save_feature_table
 
 from conftest import make_frame, make_subject
 
@@ -250,5 +252,79 @@ class TestLoadErrors:
         lines.append(lines[2])
         with open(path, "w") as fh:
             fh.writelines(lines)
-        with pytest.raises(CorpusLoadError, match=r"duplicate frame key \('S01', 1, 1\)"):
+        want = (r"frames\.csv: line 10: duplicate subject_id, posture_id, frame_index "
+                r"\('S01', 1, 1\), first on line 3$")
+        with pytest.raises(CorpusLoadError, match=want):
             load_corpus(root)
+
+
+@pytest.fixture(params=["subjects.csv", "frames.csv", "features.csv", "raw_subjects.csv"])
+def csv_loader(request, tiny_corpus, tmp_path):
+    """One CSV reader: the file it reads and a call that loads it."""
+    name = request.param
+    if name == "features.csv":
+        path = tmp_path / name
+        save_feature_table(extract_table(tiny_corpus), str(path))
+        return path, lambda: load_feature_table(str(path))
+    if name == "raw_subjects.csv":
+        path = tmp_path / name
+        path.write_text("subject_id,height_cm,weight_kg,age_years\n"
+                        "S1,170,70,26\nS2,175,80,\nS3,180,90,28\n")
+        return path, lambda: read_subjects_csv(str(path))
+    root = str(tmp_path / "c")
+    save_corpus(tiny_corpus, root)
+    return tmp_path / "c" / name, lambda: load_corpus(root)
+
+
+def _digest(loaded):
+    """What a loader returned, in a form that compares with ``==``."""
+    if isinstance(loaded, Corpus):
+        return loaded.subjects, [(f.key, f.values.tobytes()) for f in loaded.frames]
+    if isinstance(loaded, dict):
+        return loaded
+    return (loaded.subject_ids.tolist(), loaded.posture_ids.tolist(),
+            loaded.frame_indices.tolist(), loaded.X.tobytes(), loaded.bmi.tolist(),
+            loaded.mask)
+
+
+class TestCsvLoaderContract:
+    """Every CSV loader: exact header, fixed field count, unique keys, blank
+    rows skipped, and errors that read ``path: line N: ...``."""
+
+    @staticmethod
+    def _edit(path, change):
+        lines = path.read_text().splitlines()
+        change(lines)
+        path.write_text("\n".join(lines) + "\n")
+        return lines
+
+    def test_bad_header_cites_line_1(self, csv_loader):
+        path, load = csv_loader
+        self._edit(path, lambda lines: lines.__setitem__(0, "subject," + lines[0]))
+        with pytest.raises(ValueError, match=rf"{path.name}: line 1: "):
+            load()
+
+    @pytest.mark.parametrize("change, extra", [
+        (lambda row: row + ",1", 1),
+        (lambda row: row.rsplit(",", 1)[0], -1),
+    ], ids=["long", "short"])
+    def test_wrong_field_count_cites_line(self, csv_loader, change, extra):
+        path, load = csv_loader
+        n = len(path.read_text().splitlines()[0].split(","))
+        self._edit(path, lambda lines: lines.__setitem__(2, change(lines[2])))
+        with pytest.raises(ValueError,
+                           match=rf"{path.name}: line 3: expected {n} fields, got {n + extra}$"):
+            load()
+
+    def test_repeated_key_cites_both_lines(self, csv_loader):
+        path, load = csv_loader
+        lines = self._edit(path, lambda lines: lines.append(lines[2]))
+        with pytest.raises(ValueError,
+                           match=rf"{path.name}: line {len(lines)}: duplicate .*, first on line 3$"):
+            load()
+
+    def test_blank_row_is_skipped(self, csv_loader):
+        path, load = csv_loader
+        want = _digest(load())
+        self._edit(path, lambda lines: lines.insert(2, ""))
+        assert _digest(load()) == want

@@ -1,4 +1,5 @@
 import dataclasses
+import pathlib
 
 import numpy as np
 import pytest
@@ -132,9 +133,19 @@ class TestMetrics:
         assert out["recall"][2] == pytest.approx(2 / 3)
         assert m.sum() == len(truth)
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            accuracy([], [])
+    PAIRED_METRICS = {
+        "r2": r2,
+        "rmse": rmse,
+        "accuracy": accuracy,
+        "confusion_matrix": lambda pred, truth: confusion_matrix(truth, pred, 2),
+    }
+
+    @pytest.mark.parametrize("name", PAIRED_METRICS)
+    @pytest.mark.parametrize("pred, truth", [([], []), ([0, 1], [0, 1, 1])],
+                             ids=["empty", "mismatched"])
+    def test_unpaired_inputs_rejected(self, name, pred, truth):
+        with pytest.raises(ValueError, match=f"^{name} needs equal non-zero-length inputs$"):
+            self.PAIRED_METRICS[name](pred, truth)
 
 
 class TestRunCv:
@@ -167,7 +178,7 @@ class TestRunCv:
         p2 = str(tmp_path / "r2.json")
         run_cv(table, KnnRecipe(k=3), plan).save(p1)
         run_cv(table, KnnRecipe(k=3), plan).save(p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert pathlib.Path(p1).read_bytes() == pathlib.Path(p2).read_bytes()
 
     def test_linreg_recipe_reports_regression_only(self):
         table = synthetic_table(n_subjects=3, frames=20, seed=4)
@@ -227,7 +238,7 @@ class TestRunCv:
         report = run_cv(table, KnnRecipe(k=3), plan)
         path = str(tmp_path / "folds.csv")
         report.save_per_fold_csv(path)
-        lines = open(path).read().strip().splitlines()
+        lines = pathlib.Path(path).read_text().strip().splitlines()
         assert len(lines) == 5  # header + 4 folds
         assert lines[0].startswith("fold,")
 

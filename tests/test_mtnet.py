@@ -336,3 +336,23 @@ class TestSerialization:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=f"unsupported model version {version}"):
             load_model(str(path))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.update(hidden_sizes=[7]), r"hidden sizes \[7\] are not"),
+        (lambda doc: (doc["weights"].pop(0), doc["biases"].pop(0)),
+         "shapes do not chain from 14 features"),
+        (lambda doc: doc["weights"].reverse(), "shapes do not chain"),
+        (lambda doc: doc["biases"][2].pop(), "shapes do not chain"),
+        (lambda doc: [row.pop() for row in doc["class_head"]["weight"]], "shapes do not chain"),
+    ], ids=["hidden_sizes", "first_layer_removed", "layers_reversed", "short_bias",
+            "class_head_narrowed"])
+    def test_malformed_network_rejected_with_path(self, tmp_path, edit, message):
+        model, X, *_ = random_model()
+        fit_bmi_class_head(model, X, np.arange(len(X)) % 5, max_iterations=1)
+        path = tmp_path / "model.json"
+        save_model(model, str(path))
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=rf"model\.json: .*{message}"):
+            load_model(str(path))
