@@ -56,9 +56,9 @@ def read_subjects_csv(path: str) -> dict[str, SubjectRecord]:
     elif "height_cm" in cols:
         h_col, h_scale = cols["height_cm"], 0.01
     else:
-        raise ValueError(f"{path}: need a height_m or height_cm column")
+        raise ValueError(f"{path}: line 1: need a height_m or height_cm column")
     if "weight_kg" not in cols:
-        raise ValueError(f"{path}: need a weight_kg column")
+        raise ValueError(f"{path}: line 1: need a weight_kg column")
     age_col = cols.get("age_years")
 
     def parse(row, line):

@@ -6,8 +6,10 @@ refit inside each training fold. BMI classes are the exact least-squares
 split of every subject's table-wide BMI (``FeatureTable.bmi_classes``, one
 rule for the class count); they depend on the table alone, so each CV run
 builds them once, before its first fold, and every fold scores against the
-same labels. Aggregates are mean and sample (n-1)
-standard deviation over folds; confusion matrices aggregate by summing counts.
+same labels. Each completed fold's metrics are its ``per_fold`` record, and
+the aggregate is computed from those records alone: mean and sample (n-1)
+standard deviation of every scalar and of the identity precision/recall/F1
+arrays, and confusion matrices summed over the folds.
 """
 
 import dataclasses
@@ -215,13 +217,7 @@ class EvaluationReport:
     failed_folds: list[dict] = field(default_factory=list)
 
     def to_document(self) -> dict:
-        return {
-            "config_echo": self.config_echo,
-            "identity_classes": self.identity_classes,
-            "per_fold": self.per_fold,
-            "aggregate": self.aggregate,
-            "failed_folds": self.failed_folds,
-        }
+        return dataclasses.asdict(self)
 
     def save(self, path: str) -> None:
         atomic_write_text(
@@ -232,13 +228,14 @@ class EvaluationReport:
     def load(cls, path: str) -> "EvaluationReport":
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        return cls(
-            config_echo=doc["config_echo"],
-            identity_classes=doc["identity_classes"],
-            per_fold=doc["per_fold"],
-            aggregate=doc["aggregate"],
-            failed_folds=doc.get("failed_folds", []),
-        )
+        fields = dataclasses.fields(cls)
+        required = {f.name for f in fields if f.default_factory is dataclasses.MISSING}
+        missing = sorted(required - doc.keys())
+        unexpected = sorted(doc.keys() - {f.name for f in fields})
+        if missing or unexpected:
+            raise ValueError(f"{path}: not a report: missing keys {missing}, "
+                             f"unexpected keys {unexpected}")
+        return cls(**doc)
 
     def scalar_metric_names(self) -> list[str]:
         return sorted(self.aggregate["scalars"])
@@ -254,15 +251,43 @@ class EvaluationReport:
         atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _fold_data(table: FeatureTable, x: np.ndarray, subject_idx: np.ndarray,
-               bmi_class: np.ndarray | None, idx: np.ndarray) -> FoldData:
-    return FoldData(
-        x=x[idx],
-        subject_ids=table.subject_ids[idx],
-        subject_idx=subject_idx[idx],
-        bmi=table.bmi[idx],
-        bmi_class=None if bmi_class is None else bmi_class[idx],
-    )
+def _fold_scores(preds: dict, test: FoldData, n_subjects: int,
+                 n_classes: int) -> tuple[dict, dict]:
+    """One fold's scalar metrics and per-class arrays from its predictions."""
+    scalars: dict[str, float] = {}
+    arrays: dict[str, list] = {}
+    if "identity_pred_idx" in preds:
+        pred_idx = np.asarray(preds["identity_pred_idx"], dtype=int)
+        scalars["identity_accuracy"] = accuracy(pred_idx, test.subject_idx)
+        prf = per_class_prf(test.subject_idx, pred_idx, n_subjects)
+        for part in ("precision", "recall", "f1"):
+            scalars[f"identity_{part}_macro"] = prf[f"{part}_macro"]
+            arrays[f"identity_{part}"] = prf[part].tolist()
+        arrays["identity_confusion"] = prf["confusion"].tolist()
+    if "bmi_pred" in preds:
+        scalars["bmi_r2"] = r2(preds["bmi_pred"], test.bmi)
+        scalars["bmi_rmse"] = rmse(preds["bmi_pred"], test.bmi)
+    if "bmi_class_pred" in preds:
+        cls_pred = np.asarray(preds["bmi_class_pred"], dtype=int)
+        scalars["bmi_class_accuracy"] = accuracy(cls_pred, test.bmi_class)
+        cm = confusion_matrix(test.bmi_class, cls_pred, n_classes)
+        arrays["bmi_class_confusion"] = cm.tolist()
+    return scalars, arrays
+
+
+def _aggregate(per_fold: list[dict]) -> dict:
+    """Mean and sample std over the folds of each scalar and per-class array;
+    each ``<name>_confusion`` array is summed into ``<name>_confusion_total``."""
+    aggregate: dict = {"scalars": {}, "arrays": {}}
+    for kind in ("scalars", "arrays"):
+        for name in dict.fromkeys(k for e in per_fold for k in e[kind]):
+            v = np.asarray([e[kind][name] for e in per_fold if name in e[kind]])
+            if name.endswith("_confusion"):
+                aggregate[f"{name}_total"] = v.sum(axis=0).tolist()
+                continue
+            std = v.std(axis=0, ddof=1) if len(v) > 1 else np.zeros(v.shape[1:])
+            aggregate[kind][name] = {"mean": v.mean(axis=0).tolist(), "std": std.tolist()}
+    return aggregate
 
 
 def run_cv(
@@ -284,64 +309,27 @@ def run_cv(
     order, subject_idx = np.unique(table.subject_ids, return_inverse=True)
     class_order = order.tolist()
     x = table.active_matrix()
+    bmi_class = table.bmi_classes() if "bmi_class" in recipe.produces else None
+    n_classes = 0 if bmi_class is None else int(bmi_class.max()) + 1
+
+    def rows(idx: np.ndarray) -> FoldData:
+        return FoldData(x=x[idx], subject_ids=table.subject_ids[idx], subject_idx=subject_idx[idx],
+                        bmi=table.bmi[idx], bmi_class=None if bmi_class is None else bmi_class[idx])
+
     per_fold: list[dict] = []
     failed: list[dict] = []
-    bmi_class = table.bmi_classes() if "bmi_class" in recipe.produces else None
-    k_classes = 0 if bmi_class is None else int(bmi_class.max()) + 1
-
-    # confusion classes for identity
-    m_classes = len(class_order)
-    agg_scalars: dict[str, list[float]] = {}
-    agg_arrays: dict[str, list[np.ndarray]] = {}
-    id_confusion_total = np.zeros((m_classes, m_classes), dtype=int)
-    cls_confusion_total = np.zeros((k_classes, k_classes), dtype=int)
-
     for fold in range(plan.n_folds):
         tr_idx = plan.train_indices(fold)
         te_idx = plan.test_indices(fold)
         try:
-            train_counts = np.bincount(subject_idx[tr_idx], minlength=m_classes)
+            train_counts = np.bincount(subject_idx[tr_idx], minlength=len(class_order))
             missing = [class_order[i] for i in np.flatnonzero(train_counts == 0)]
             if missing:
                 raise ValueError(f"fold {fold}: subjects {missing} absent from training")
-            train = _fold_data(table, x, subject_idx, bmi_class, tr_idx)
-            test = _fold_data(table, x, subject_idx, bmi_class, te_idx)
+            train, test = rows(tr_idx), rows(te_idx)
             preds = recipe.run_fold(train, test, seed=plan.seed + fold)
-
-            scalars: dict[str, float] = {}
-            arrays: dict[str, list] = {}
-
-            if "identity_pred_idx" in preds:
-                pred_idx = np.asarray(preds["identity_pred_idx"], dtype=int)
-                scalars["identity_accuracy"] = accuracy(pred_idx, test.subject_idx)
-                prf = per_class_prf(test.subject_idx, pred_idx, m_classes)
-                scalars["identity_precision_macro"] = prf["precision_macro"]
-                scalars["identity_recall_macro"] = prf["recall_macro"]
-                scalars["identity_f1_macro"] = prf["f1_macro"]
-                arrays["identity_precision"] = prf["precision"].tolist()
-                arrays["identity_recall"] = prf["recall"].tolist()
-                arrays["identity_f1"] = prf["f1"].tolist()
-                cm = prf["confusion"]
-                arrays["identity_confusion"] = cm.tolist()
-                id_confusion_total += cm
-
-            if "bmi_pred" in preds:
-                scalars["bmi_r2"] = r2(preds["bmi_pred"], test.bmi)
-                scalars["bmi_rmse"] = rmse(preds["bmi_pred"], test.bmi)
-
-            if "bmi_class_pred" in preds:
-                cls_pred = np.asarray(preds["bmi_class_pred"], dtype=int)
-                scalars["bmi_class_accuracy"] = accuracy(cls_pred, test.bmi_class)
-                cm = confusion_matrix(test.bmi_class, cls_pred, k_classes)
-                arrays["bmi_class_confusion"] = cm.tolist()
-                cls_confusion_total += cm
-
+            scalars, arrays = _fold_scores(preds, test, len(class_order), n_classes)
             per_fold.append({"fold": fold, "scalars": scalars, "arrays": arrays})
-            for k, v in scalars.items():
-                agg_scalars.setdefault(k, []).append(v)
-            for k in ("identity_precision", "identity_recall", "identity_f1"):
-                if k in arrays:
-                    agg_arrays.setdefault(k, []).append(np.asarray(arrays[k]))
         except ValueError as e:  # bad data (LinAlgError included); bugs propagate
             failed.append({"fold": fold, "error": f"{type(e).__name__}: {e}"})
             if len(failed) >= 2:
@@ -349,34 +337,13 @@ def run_cv(
                     f"{len(failed)} folds failed; first errors: {failed}"
                 ) from e
 
-    aggregate: dict = {"scalars": {}, "arrays": {}}
-    for k, vals in agg_scalars.items():
-        arr = np.asarray(vals)
-        aggregate["scalars"][k] = {
-            "mean": float(arr.mean()),
-            "std": float(arr.std(ddof=1)) if len(arr) > 1 else 0.0,
-        }
-    for k, stacks in agg_arrays.items():
-        mat = np.stack(stacks)
-        aggregate["arrays"][k] = {
-            "mean": mat.mean(axis=0).tolist(),
-            "std": (mat.std(axis=0, ddof=1) if len(mat) > 1 else np.zeros(mat.shape[1])).tolist(),
-        }
-    if id_confusion_total.any():
-        aggregate["identity_confusion_total"] = id_confusion_total.tolist()
-    if cls_confusion_total.any():
-        aggregate["bmi_class_confusion_total"] = cls_confusion_total.tolist()
-
-    echo = dict(config_echo or {})
-    echo.setdefault("recipe", getattr(recipe, "name", type(recipe).__name__))
-    echo.setdefault("n_folds", plan.n_folds)
-    echo.setdefault("seed", plan.seed)
-    echo.setdefault("feature_mask", list(table.mask))
+    echo = {"recipe": getattr(recipe, "name", type(recipe).__name__), "n_folds": plan.n_folds,
+            "seed": plan.seed, "feature_mask": list(table.mask), **(config_echo or {})}
     return EvaluationReport(
         config_echo=echo,
         identity_classes=class_order,
         per_fold=per_fold,
-        aggregate=aggregate,
+        aggregate=_aggregate(per_fold),
         failed_folds=failed,
     )
 
@@ -391,23 +358,14 @@ def drop_column_importance(
     Positive values mean the feature helps (removing it hurts); negative
     values are permitted.
     """
-    full = run_cv(table, recipe, plan)
+    def means(t: FeatureTable) -> dict[str, float]:
+        scalars = run_cv(t, recipe, plan).aggregate["scalars"]
+        return {name: scalars[name]["mean"]
+                for name in ("identity_accuracy", "bmi_r2") if name in scalars}
 
-    def metric(report, name):
-        entry = report.aggregate["scalars"].get(name)
-        return None if entry is None else entry["mean"]
-
-    full_acc = metric(full, "identity_accuracy")
-    full_r2 = metric(full, "bmi_r2")
-
+    full = means(table)
     out: dict[str, dict[str, float]] = {}
     for j in table.active_indices:
-        reduced = table.with_feature_dropped(int(j))
-        rep = run_cv(reduced, recipe, plan)
-        entry: dict[str, float] = {}
-        if full_acc is not None:
-            entry["identity_accuracy"] = full_acc - metric(rep, "identity_accuracy")
-        if full_r2 is not None:
-            entry["bmi_r2"] = full_r2 - metric(rep, "bmi_r2")
-        out[FEATURE_NAMES[int(j)]] = entry
+        reduced = means(table.with_feature_dropped(int(j)))
+        out[FEATURE_NAMES[int(j)]] = {name: full[name] - reduced[name] for name in full}
     return out

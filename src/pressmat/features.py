@@ -391,16 +391,24 @@ _FeatureRow = namedtuple("_FeatureRow", FRAME_KEY + ["values", "bmi"])
 def load_feature_table(path: str) -> FeatureTable:
     """Read features.csv; a uniformly empty feature column is a masked feature.
 
-    Every non-empty feature cell must be finite, every BMI inside
+    Every row must leave the same feature cells empty as the first data row,
+    every non-empty feature cell must be finite, every BMI inside
     ``BMI_BAND``, all of a subject's rows must state the same BMI, and no
     ``(subject_id, posture_id, frame_index)`` key may repeat.
     """
     lo, hi = BMI_BAND
     first_bmi: dict[str, tuple[float, int]] = {}
+    first_empty: dict = {}  # the first data row's empty-cell pattern and line
 
     def parse(row, line):
         sid, posture, index = row[0], int(row[1]), int(row[2])
         cells = row[3:-1]
+        empty = [c == "" for c in cells]
+        want, want_line = first_empty.setdefault("row", (empty, line))
+        if empty != want:
+            bad = [FEATURE_NAMES[i] for i in range(FEATURE_COUNT) if empty[i] != want[i]]
+            raise ValueError(f"features {bad} are only partially present: "
+                             f"empty cells differ from line {want_line}")
         values = [float(c) if c != "" else np.nan for c in cells]
         if not all(map(math.isfinite, values)):  # empty (masked) cells are NaN
             for c, v in zip(cells, values):
@@ -419,15 +427,7 @@ def load_feature_table(path: str) -> FeatureTable:
     rows = read_csv(path, FEATURES_CSV_HEADER, parse, FRAME_KEY)
     sids, postures, indices, x, bmi = zip(*rows) if rows else [()] * 5
     x = np.asarray(x, dtype=np.float64).reshape(-1, FEATURE_COUNT)
-    if len(x):
-        nan_cols = np.isnan(x).any(axis=0)
-        full_nan = np.isnan(x).all(axis=0)
-        if np.any(nan_cols & ~full_nan):
-            bad = [FEATURE_NAMES[i] for i in np.nonzero(nan_cols & ~full_nan)[0]]
-            raise ValueError(f"{path}: features {bad} are only partially present")
-        mask = tuple(bool(b) for b in ~full_nan)
-    else:
-        mask = FULL_MASK
+    mask = tuple(bool(b) for b in ~np.isnan(x[0])) if len(x) else FULL_MASK
     return FeatureTable(
         subject_ids=np.array(sids),
         posture_ids=np.array(postures, dtype=int),

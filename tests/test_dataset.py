@@ -19,7 +19,9 @@ from pressmat.dataset import (
     save_corpus,
 )
 from pressmat.adapters import read_subjects_csv
-from pressmat.features import extract_table, load_feature_table, save_feature_table
+from pressmat.features import (
+    FEATURE_NAMES, extract_table, load_feature_table, save_feature_table,
+)
 
 from conftest import make_frame, make_subject
 
@@ -328,3 +330,48 @@ class TestCsvLoaderContract:
         want = _digest(load())
         self._edit(path, lambda lines: lines.insert(2, ""))
         assert _digest(load()) == want
+
+
+class TestLoaderErrorsCiteLines:
+    @staticmethod
+    def _feature_rows(tiny_corpus, tmp_path):
+        path = tmp_path / "features.csv"
+        save_feature_table(extract_table(tiny_corpus), str(path))
+        with open(path, newline="") as fh:
+            return path, list(csv.reader(fh))
+
+    @staticmethod
+    def _write_rows(path, rows):
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+
+    @pytest.mark.parametrize("blanked, cited", [(4, 4), (2, 3)])
+    def test_partial_column_cites_first_disagreeing_line(self, tiny_corpus, tmp_path,
+                                                         blanked, cited):
+        path, rows = self._feature_rows(tiny_corpus, tmp_path)
+        rows[blanked - 1][3 + FEATURE_NAMES.index("variance")] = ""
+        self._write_rows(path, rows)
+        want = (rf"features\.csv: line {cited}: features \['variance'\] are only partially "
+                rf"present: empty cells differ from line 2$")
+        with pytest.raises(ValueError, match=want):
+            load_feature_table(str(path))
+
+    def test_uniformly_empty_column_is_masked(self, tiny_corpus, tmp_path):
+        path, rows = self._feature_rows(tiny_corpus, tmp_path)
+        j = FEATURE_NAMES.index("variance")
+        for row in rows[1:]:
+            row[3 + j] = ""
+        self._write_rows(path, rows)
+        table = load_feature_table(str(path))
+        assert table.mask == tuple(name != "variance" for name in FEATURE_NAMES)
+        assert np.isnan(table.X[:, j]).all() and not np.isnan(np.delete(table.X, j, 1)).any()
+
+    @pytest.mark.parametrize("header, want", [
+        ("subject_id,height_m,age_years", "need a weight_kg column"),
+        ("subject_id,weight_kg,age_years", "need a height_m or height_cm column"),
+    ])
+    def test_missing_subject_column_cites_line_1(self, tmp_path, header, want):
+        path = tmp_path / "raw.csv"
+        path.write_text(header + "\nS1,70,30\n")
+        with pytest.raises(ValueError, match=rf"raw\.csv: line 1: {want}$"):
+            read_subjects_csv(str(path))

@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -313,6 +315,82 @@ class TestFoldFailures:
         with pytest.raises(TypeError, match="synthetic bug"):
             run_cv(table, BuggyRecipe(set()), plan)
 
+
+
+# What each entry of a recipe's ``produces`` puts in the aggregate: scalars,
+# mean/std arrays and confusion totals.
+AGGREGATE_KEYS = {
+    "identity": ({"identity_accuracy", "identity_precision_macro", "identity_recall_macro",
+                  "identity_f1_macro"},
+                 {"identity_precision", "identity_recall", "identity_f1"},
+                 {"identity_confusion_total"}),
+    "bmi": ({"bmi_r2", "bmi_rmse"}, set(), set()),
+    "bmi_class": ({"bmi_class_accuracy"}, set(), {"bmi_class_confusion_total"}),
+}
+
+
+class TestAggregateContract:
+    """The aggregate is computed from the completed folds' records alone."""
+
+    @pytest.mark.parametrize("make_recipe, n_folds, n_failed", [
+        (lambda: KnnRecipe(k=3), 4, 0),
+        (GnbRecipe, 4, 0),
+        (LinregRecipe, 4, 0),
+        (lambda: TestFoldFailures.FlakyRecipe({1}), 4, 1),
+        (lambda: TestFoldFailures.FlakyRecipe({0}), 2, 1),
+    ], ids=["knn", "gnb", "linreg", "flaky-4-folds", "flaky-one-left"])
+    def test_aggregate_is_exactly_the_fold_statistics(self, make_recipe, n_folds, n_failed):
+        table = synthetic_table(n_subjects=4, frames=20, seed=40)
+        recipe = make_recipe()
+        report = run_cv(table, recipe, make_folds(table.subject_ids, n_folds=n_folds, seed=0))
+        assert len(report.failed_folds) == n_failed
+        assert len(report.per_fold) == n_folds - n_failed
+        agg = report.aggregate
+        scalars, arrays, totals = (set().union(*keys) for keys in
+                                   zip(*(AGGREGATE_KEYS[p] for p in recipe.produces)))
+        assert set(agg["scalars"]) == scalars
+        assert set(agg["arrays"]) == arrays
+        assert set(agg) - {"scalars", "arrays"} == totals
+        for kind in ("scalars", "arrays"):
+            for name, entry in agg[kind].items():
+                folds = np.array([f[kind][name] for f in report.per_fold])
+                std = (np.std(folds, axis=0, ddof=1) if len(folds) > 1
+                       else np.zeros(folds.shape[1:]))
+                assert entry == {"mean": np.mean(folds, axis=0).tolist(), "std": std.tolist()}
+        for name in totals:
+            folds = np.array([f["arrays"][name.removesuffix("_total")] for f in report.per_fold])
+            assert agg[name] == folds.sum(axis=0).tolist()
+
+
+class TestReportLoad:
+    @staticmethod
+    def _saved(tmp_path, edit):
+        table = synthetic_table(n_subjects=3, frames=20, seed=42)
+        report = run_cv(table, KnnRecipe(k=3), make_folds(table.subject_ids, n_folds=4, seed=0))
+        doc = report.to_document()
+        edit(doc)
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(doc))
+        return report, str(path)
+
+    def test_missing_key_named_with_the_path(self, tmp_path, capsys):
+        _, path = self._saved(tmp_path, lambda doc: doc.pop("aggregate"))
+        want = (rf"{re.escape(path)}: not a report: "
+                rf"missing keys \['aggregate'\], unexpected keys \[\]$")
+        with pytest.raises(ValueError, match=want):
+            EvaluationReport.load(path)
+        assert cli_main(["report", "--in", path]) == 1
+        assert re.search(want, capsys.readouterr().err)
+
+    def test_unexpected_key_named(self, tmp_path):
+        _, path = self._saved(tmp_path, lambda doc: doc.update(aggregates={}))
+        with pytest.raises(ValueError,
+                           match=r"missing keys \[\], unexpected keys \['aggregates'\]$"):
+            EvaluationReport.load(path)
+
+    def test_missing_failed_folds_loads_as_none_failed(self, tmp_path):
+        report, path = self._saved(tmp_path, lambda doc: doc.pop("failed_folds"))
+        assert EvaluationReport.load(path) == report
 
 
 def shared_bmi_table():
