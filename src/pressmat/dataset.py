@@ -17,7 +17,7 @@ import operator
 import os
 import shutil
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 
 import numpy as np
@@ -69,8 +69,7 @@ class GridSpec:
 class PressureFrame:
     """One snapshot of the sensor grid.
 
-    ``values`` is a read-only float64 array of shape ``(rows, cols)``; a flat
-    row-major sequence of length ``rows * cols`` is accepted and reshaped.
+    ``values`` is a read-only float64 array of shape ``(rows, cols)``, no other.
     """
 
     grid: GridSpec
@@ -81,13 +80,7 @@ class PressureFrame:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim == 1:
-            if v.size != self.grid.n_cells:
-                raise ValueError(
-                    f"frame has {v.size} values, grid wants {self.grid.n_cells}"
-                )
-            v = v.reshape(self.grid.rows, self.grid.cols)
-        elif v.shape != (self.grid.rows, self.grid.cols):
+        if v.shape != (self.grid.rows, self.grid.cols):
             raise ValueError(f"frame shape {v.shape} does not match grid")
         if not np.all(np.isfinite(v)):
             raise ValueError("frame contains non-finite values")
@@ -257,14 +250,8 @@ def save_corpus(corpus: Corpus, root_path: str, extra_manifest: dict | None = No
     os.makedirs(parent, exist_ok=True)
     tmp = tempfile.mkdtemp(prefix=".corpus-tmp-", dir=parent)
     try:
-        manifest = {
-            "name": corpus.name,
-            "rows": corpus.grid.rows,
-            "cols": corpus.grid.cols,
-            "sensor_ceiling": corpus.grid.sensor_ceiling,
-            "frame_rate_hz": corpus.grid.frame_rate_hz,
-            "feature_mask": list(corpus.feature_mask),
-        }
+        manifest = {"name": corpus.name, **asdict(corpus.grid),
+                    "feature_mask": list(corpus.feature_mask)}
         if extra_manifest:
             for k, v in extra_manifest.items():
                 manifest.setdefault(k, v)
@@ -379,8 +366,8 @@ def load_corpus(root_path: str) -> Corpus:
     def parse_frame(row, line):
         if row[0] not in subjects:
             raise ValueError(f"unknown subject {row[0]!r}")
-        return PressureFrame(grid, np.asarray(row[3:], dtype=np.float64),
-                             row[0], int(row[1]), int(row[2]))
+        values = np.asarray(row[3:], dtype=np.float64).reshape(grid.rows, grid.cols)
+        return PressureFrame(grid, values, row[0], int(row[1]), int(row[2]))
 
     frames = read_csv(frames_path, _frames_header(grid), parse_frame, FRAME_KEY,
                       CorpusLoadError)

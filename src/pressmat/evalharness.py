@@ -228,6 +228,8 @@ class EvaluationReport:
     def load(cls, path: str) -> "EvaluationReport":
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError(f"{path}: not a report: a JSON {type(doc).__name__}, not an object")
         fields = dataclasses.fields(cls)
         required = {f.name for f in fields if f.default_factory is dataclasses.MISSING}
         missing = sorted(required - doc.keys())
@@ -235,6 +237,10 @@ class EvaluationReport:
         if missing or unexpected:
             raise ValueError(f"{path}: not a report: missing keys {missing}, "
                              f"unexpected keys {unexpected}")
+        agg = doc["aggregate"]
+        if not (isinstance(agg, dict)
+                and all(isinstance(agg.get(k), dict) for k in ("scalars", "arrays"))):
+            raise ValueError(f"{path}: not a report: aggregate needs 'scalars' and 'arrays'")
         return cls(**doc)
 
     def scalar_metric_names(self) -> list[str]:

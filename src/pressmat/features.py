@@ -16,7 +16,7 @@ import csv
 import io
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -337,14 +337,7 @@ class FeatureTable:
         mask = tuple(m and i != feature_index for i, m in enumerate(self.mask))
         x = self.X.copy()
         x[:, feature_index] = np.nan
-        return FeatureTable(
-            subject_ids=self.subject_ids,
-            posture_ids=self.posture_ids,
-            frame_indices=self.frame_indices,
-            X=x,
-            bmi=self.bmi,
-            mask=mask,
-        )
+        return replace(self, X=x, mask=mask)
 
 
 def extract_table(corpus: Corpus) -> FeatureTable:

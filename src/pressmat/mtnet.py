@@ -13,7 +13,7 @@ activations converts the regression model into a 5-way BMI classifier.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -355,10 +355,7 @@ def save_model(model: MultitaskModel, path: str) -> None:
         "norm_std": model.norm_std.tolist(),
         "weights": [w.tolist() for w in model.weights],
         "biases": [b.tolist() for b in model.biases],
-        "config": {
-            "max_iterations": model.config.max_iterations,
-            "seed": model.config.seed,
-        },
+        "config": asdict(model.config),
         "class_head": None
         if model.class_head is None
         else {

@@ -6,6 +6,7 @@ frames sharing (subject, posture) with consecutive frame indices; an index gap
 marks a recording boundary and the temporal filter never smooths across it.
 """
 
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -59,13 +60,7 @@ def median_filter(frame: PressureFrame, window: int = 3) -> PressureFrame:
     s.sort(axis=1)
     out = (np.take_along_axis(s, lo, axis=1) + np.take_along_axis(s, hi, axis=1)) / 2.0
     out = np.clip(out.reshape(frame.values.shape), 0.0, frame.grid.sensor_ceiling)
-    return PressureFrame(
-        grid=frame.grid,
-        values=out,
-        subject_id=frame.subject_id,
-        posture_id=frame.posture_id,
-        frame_index=frame.frame_index,
-    )
+    return replace(frame, values=out)
 
 
 def gaussian_kernel(window: int, sigma: float) -> np.ndarray:
@@ -84,56 +79,32 @@ def temporal_gaussian(
 ) -> list[PressureFrame]:
     """Smooth each sensor along time within one recording session.
 
-    All frames must share (subject, posture) and have consecutive frame
-    indices; boundaries are handled by reflection so a constant session (and a
-    single frame) pass through unchanged.
+    The frames must form one run of :func:`split_sessions`, else the error
+    names the two frame keys where it breaks. Reflection at the ends lets a
+    constant session (and a single frame) pass through unchanged.
     """
     if not session:
         raise ValueError("session must contain at least one frame")
-    sid = session[0].subject_id
-    pid = session[0].posture_id
-    for a, b in zip(session, session[1:]):
-        if b.subject_id != sid or b.posture_id != pid:
-            raise ValueError("session mixes subjects or postures")
-        if b.frame_index != a.frame_index + 1:
-            raise ValueError(
-                f"session frame indices not consecutive: {a.frame_index} -> {b.frame_index}"
-            )
+    runs = split_sessions(session)
+    if len(runs) > 1:
+        raise ValueError(f"not one session: {runs[0][-1].key} -> {runs[1][0].key}")
 
     kernel = gaussian_kernel(window, sigma)
     stack = np.stack([f.values for f in session])  # (T, R, C)
     smoothed = convolve1d(stack, kernel, axis=0, mode="reflect")
     smoothed = np.clip(smoothed, 0.0, session[0].grid.sensor_ceiling)
-    return [
-        PressureFrame(
-            grid=f.grid,
-            values=smoothed[t],
-            subject_id=f.subject_id,
-            posture_id=f.posture_id,
-            frame_index=f.frame_index,
-        )
-        for t, f in enumerate(session)
-    ]
+    return [replace(f, values=smoothed[t]) for t, f in enumerate(session)]
 
 
-def split_sessions(frames: tuple[PressureFrame, ...]) -> list[list[PressureFrame]]:
-    """Group canonically ordered frames into consecutive-index sessions."""
+def split_sessions(frames) -> list[list[PressureFrame]]:
+    """Split frames into maximal runs in which each frame follows the one
+    before: same subject and posture, frame index one higher."""
     sessions: list[list[PressureFrame]] = []
-    current: list[PressureFrame] = []
     for f in frames:
-        if current:
-            prev = current[-1]
-            contiguous = (
-                f.subject_id == prev.subject_id
-                and f.posture_id == prev.posture_id
-                and f.frame_index == prev.frame_index + 1
-            )
-            if not contiguous:
-                sessions.append(current)
-                current = []
-        current.append(f)
-    if current:
-        sessions.append(current)
+        if sessions and sessions[-1][-1].key == (f.subject_id, f.posture_id, f.frame_index - 1):
+            sessions[-1].append(f)
+        else:
+            sessions.append([f])
     return sessions
 
 
@@ -146,12 +117,6 @@ def denoise_corpus(
     """Full pipeline over a corpus: median first, temporal Gaussian second."""
     filtered = [median_filter(f, median_window) for f in corpus.frames]
     out: list[PressureFrame] = []
-    for session in split_sessions(tuple(filtered)):
+    for session in split_sessions(filtered):
         out.extend(temporal_gaussian(session, gaussian_window, gaussian_sigma))
-    return Corpus(
-        grid=corpus.grid,
-        subjects=corpus.subjects,
-        frames=tuple(out),
-        feature_mask=corpus.feature_mask,
-        name=corpus.name,
-    )
+    return replace(corpus, frames=tuple(out))

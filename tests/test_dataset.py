@@ -90,6 +90,12 @@ class TestTypes:
         with pytest.raises(ValueError):
             PressureFrame(grid, np.array([[0, -1.0], [5, 5]]), "S01", 1, 0)
 
+    def test_frame_takes_only_grid_shaped_values(self):
+        grid = GridSpec(2, 3, 100.0, 1.0)
+        for values in (np.zeros(6), np.zeros((3, 2)), np.zeros((1, 2, 3))):
+            with pytest.raises(ValueError, match="does not match grid"):
+                PressureFrame(grid, values, "S01", 1, 0)
+
     def test_frame_values_read_only(self):
         f = make_frame(np.zeros((3, 3)))
         with pytest.raises(ValueError):
@@ -144,10 +150,10 @@ class TestRoundTrip:
 
     def test_frames_csv_text_is_repr_of_each_cell(self, tmp_path):
         grid = GridSpec(2, 3, 1000.0, 1.0)
-        cells = [0.0, 0.1, 5e-324, 1e-300, 999.9999999999999, 1000.0]
+        cells = np.array([0.0, 0.1, 5e-324, 1e-300, 999.9999999999999, 1000.0])
         frames = (
-            PressureFrame(grid, cells, "A", 2, 7),
-            PressureFrame(grid, cells[::-1], "A", 2, 8),
+            PressureFrame(grid, cells.reshape(2, 3), "A", 2, 7),
+            PressureFrame(grid, cells[::-1].reshape(2, 3), "A", 2, 8),
         )
         c = Corpus(grid=grid, subjects={"A": make_subject("A")}, frames=frames)
         root = str(tmp_path / "c")

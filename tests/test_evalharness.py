@@ -388,6 +388,25 @@ class TestReportLoad:
                            match=r"missing keys \[\], unexpected keys \['aggregates'\]$"):
             EvaluationReport.load(path)
 
+    def test_non_object_document_named(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text("[]")
+        want = rf"{re.escape(str(path))}: not a report: a JSON list, not an object$"
+        with pytest.raises(ValueError, match=want):
+            EvaluationReport.load(str(path))
+        assert cli_main(["report", "--in", str(path)]) == 1
+        assert re.search(want, capsys.readouterr().err)
+
+    @pytest.mark.parametrize("aggregate", [{}, {"scalars": {}}, {"scalars": {}, "arrays": []}, []])
+    def test_aggregate_without_scalars_and_arrays_named(self, tmp_path, capsys, aggregate):
+        _, path = self._saved(tmp_path, lambda doc: doc.update(aggregate=aggregate))
+        want = (rf"{re.escape(path)}: not a report: "
+                r"aggregate needs 'scalars' and 'arrays'$")
+        with pytest.raises(ValueError, match=want):
+            EvaluationReport.load(path)
+        assert cli_main(["report", "--in", path]) == 1
+        assert re.search(want, capsys.readouterr().err)
+
     def test_missing_failed_folds_loads_as_none_failed(self, tmp_path):
         report, path = self._saved(tmp_path, lambda doc: doc.pop("failed_folds"))
         assert EvaluationReport.load(path) == report

@@ -184,3 +184,26 @@ class TestLbfgs:
         assert res.stop_reason == "grad_tol"
         assert res.n_iterations == 0
 
+
+    def test_wolfe_failure_falls_back_to_backtracking_then_stalls(self, caplog):
+        # The returned gradient x + c is not the gradient of 0.5 |x|^2, so no
+        # step meets the curvature condition. The first steepest-descent
+        # backtrack is accepted at its first trial step 1 / max|g0|; the
+        # second finds no decrease within its budget.
+        c = np.array([10.0, -3.0])
+
+        def fun(x):
+            return 0.5 * float(x @ x), x + c
+
+        x0 = np.array([1.0, 2.0])
+        with caplog.at_level("WARNING", logger="pressmat.lbfgs"):
+            res = minimize_lbfgs(fun, x0, max_iterations=50)
+        g0 = x0 + c
+        assert res.stop_reason == "stalled"
+        assert res.line_search_failures == 2
+        assert res.n_iterations == 1 == len(res.loss_history) - 1
+        assert np.array_equal(res.x, x0 + 1.0 / np.abs(g0).max() * -g0)
+        assert np.all(np.diff(res.loss_history) <= 0)
+        assert res.n_evaluations == 1 + 2 * lbfgs.WOLFE_MAX_EVALS + 1 + lbfgs.BACKTRACK_MAX_EVALS
+        failed = [r for r in caplog.records if "Wolfe search failed" in r.getMessage()]
+        assert [r.levelname for r in failed] == ["WARNING", "WARNING"]

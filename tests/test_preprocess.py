@@ -1,5 +1,8 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from pressmat.preprocess import (
@@ -19,6 +22,31 @@ def nanmedian_oracle(values, window, ceiling):
     padded = np.pad(values, half, mode="constant", constant_values=np.nan)
     windows = sliding_window_view(padded, (window, window))
     return np.clip(np.nanmedian(windows, axis=(2, 3)), 0.0, ceiling)
+
+
+def split_sessions_oracle(frames):
+    """The session split as an explicit field-by-field loop."""
+    sessions = []
+    current = []
+    for f in frames:
+        if current:
+            prev = current[-1]
+            contiguous = (
+                f.subject_id == prev.subject_id
+                and f.posture_id == prev.posture_id
+                and f.frame_index == prev.frame_index + 1
+            )
+            if not contiguous:
+                sessions.append(current)
+                current = []
+        current.append(f)
+    if current:
+        sessions.append(current)
+    return sessions
+
+
+def break_message(before, after):
+    return re.escape(f"not one session: {before} -> {after}") + "$"
 
 
 class TestMedianFilter:
@@ -131,14 +159,21 @@ class TestTemporalGaussian:
     def test_mixed_session_rejected(self):
         a = make_frame(np.zeros((2, 2)), subject_id="A", frame_index=0)
         b = make_frame(np.zeros((2, 2)), subject_id="B", frame_index=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=break_message(("A", 1, 0), ("B", 1, 1))):
             temporal_gaussian([a, b])
+        c = make_frame(np.zeros((2, 2)), subject_id="A", posture_id=2, frame_index=1)
+        with pytest.raises(ValueError, match=break_message(("A", 1, 0), ("A", 2, 1))):
+            temporal_gaussian([a, c])
 
     def test_gap_rejected(self):
         a = make_frame(np.zeros((2, 2)), frame_index=0)
         b = make_frame(np.zeros((2, 2)), frame_index=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=break_message(("S01", 1, 0), ("S01", 1, 2))):
             temporal_gaussian([a, b])
+        # the first break is named, not the session's ends
+        run = [make_frame(np.zeros((2, 2)), frame_index=i) for i in (3, 4, 5, 7, 9)]
+        with pytest.raises(ValueError, match=break_message(("S01", 1, 5), ("S01", 1, 7))):
+            temporal_gaussian(run)
 
     def test_bounds_preserved(self):
         rng = np.random.default_rng(1)
@@ -160,6 +195,26 @@ class TestCorpusPipeline:
         )
         sessions = split_sessions(frames)
         assert [len(s) for s in sessions] == [3, 2, 2]
+
+    @given(
+        keys=st.lists(
+            st.tuples(st.sampled_from(["A", "B", "C"]), st.integers(1, 3), st.integers(0, 6)),
+            unique=True, max_size=40,
+        ),
+        canonical=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_split_matches_oracle(self, keys, canonical):
+        # canonical order is the corpus's; an arbitrary order splits wherever
+        # a frame does not follow the one before it
+        if canonical:
+            keys = sorted(keys)
+        frames = [make_frame(np.zeros((1, 1)), subject_id=s, posture_id=p, frame_index=i)
+                  for s, p, i in keys]
+        got = [[f.key for f in run] for run in split_sessions(frames)]
+        want = [[f.key for f in run] for run in split_sessions_oracle(frames)]
+        assert got == want
+        assert [k for run in got for k in run] == keys
 
     def test_denoise_corpus_keeps_shape(self, synth_corpus):
         out = denoise_corpus(synth_corpus)
