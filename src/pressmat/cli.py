@@ -7,11 +7,10 @@ diagnostics go to stderr with a nonzero exit code on failure.
 """
 
 import argparse
-import json
 import sys
 
 from . import adapters, baselines, evalharness, features, mtnet, preprocess, synthgen
-from .dataset import GridSpec, atomic_write_text, load_corpus, save_corpus
+from .dataset import GridSpec, atomic_write_text, load_corpus, save_corpus, write_json
 from .evalharness import EvaluationReport
 
 
@@ -73,10 +72,7 @@ def cmd_features(args) -> int:
     corpus = load_corpus(args.in_path)
     table = features.extract_table(corpus)
     features.save_feature_table(table, args.out)
-    atomic_write_text(
-        args.out + ".meta.json",
-        json.dumps({"provenance": _echo(args)}, indent=2, sort_keys=True) + "\n",
-    )
+    write_json(args.out + ".meta.json", {"provenance": _echo(args)})
     return 0
 
 
@@ -132,8 +128,7 @@ def cmd_importance(args) -> int:
     plan = evalharness.make_folds(table.subject_ids, n_folds=args.folds, seed=args.seed)
     recipe = _build_recipe(args)
     result = evalharness.drop_column_importance(table, recipe, plan)
-    doc = {"config_echo": _echo(args), "importance": result}
-    atomic_write_text(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(args.out, {"config_echo": _echo(args), "importance": result})
     return 0
 
 

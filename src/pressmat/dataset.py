@@ -26,6 +26,7 @@ import numpy as np
 FEATURE_COUNT = 14
 
 MANIFEST_NAME = "manifest.json"
+MANIFEST_KEYS = ["rows", "cols", "sensor_ceiling", "frame_rate_hz", "feature_mask"]
 SUBJECTS_NAME = "subjects.csv"
 FRAMES_NAME = "frames.csv"
 SUBJECTS_HEADER = ["subject_id", "height_m", "weight_kg", "age_years"]
@@ -189,20 +190,20 @@ def load_posture_table(path: str | None = None) -> dict[int, int]:
     so deployments can swap it without touching code.
     """
     if path is None:
-        text = resources.files(__package__).joinpath("posture_groups.json").read_text()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    raw = json.loads(text)
-    table = {int(k): int(v) for k, v in raw.items()}
-    if sorted(table) != list(range(1, N_RAW_POSTURES + 1)):
-        raise ValueError("posture table must map exactly the raw ids 1..17")
-    if set(table.values()) != set(range(1, N_POSTURE_GROUPS + 1)):
-        raise ValueError("posture table must be surjective onto groups 1..10")
-    for base in range(1, N_POSTURE_GROUPS + 1):
-        if table[base] != base:
-            raise ValueError(f"base posture {base} must map to itself, got {table[base]}")
-    return table
+        path = resources.files(__package__) / "posture_groups.json"
+
+    def parse(doc):
+        table = {int(k): int(v) for k, v in doc.items()}
+        if sorted(table) != list(range(1, N_RAW_POSTURES + 1)):
+            raise ValueError("keys must be exactly the raw ids 1..17")
+        if set(table.values()) != set(range(1, N_POSTURE_GROUPS + 1)):
+            raise ValueError("values must cover the groups 1..10")
+        for base in range(1, N_POSTURE_GROUPS + 1):
+            if table[base] != base:
+                raise ValueError(f"base posture {base} must map to itself, got {table[base]}")
+        return table
+
+    return read_json(path, "posture table", parse)
 
 
 def merge_postures(raw_posture_id: int, table: dict[int, int] | None = None) -> int:
@@ -240,6 +241,34 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+def write_json(path: str, doc: dict, indent: int | None = 2) -> None:
+    """Write ``doc`` as JSON with sorted keys and a final newline, atomically."""
+    atomic_write_text(path, json.dumps(doc, indent=indent, sort_keys=True) + "\n")
+
+
+def read_json(path: str, what: str, parse, error: type[Exception] = ValueError):
+    """``parse(doc)`` of the JSON object in the UTF-8 file at ``path``. Bad JSON, a
+    non-object, or a ValueError, TypeError or KeyError from ``parse`` raises
+    ``error("<path>: not a <what>: ...")``; other exceptions propagate."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(check_keys(json.load(fh)))
+    except (ValueError, TypeError, KeyError) as e:
+        raise error(f"{path}: not a {what}: {e}") from e
+
+
+def check_keys(doc, required=(), allowed=None) -> dict:
+    """``doc`` itself, once it is a JSON object with every key in ``required``
+    and, unless ``allowed`` is None, no key outside ``required`` and ``allowed``."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a JSON {type(doc).__name__}, not an object")
+    missing = sorted(set(required) - doc.keys())
+    unexpected = [] if allowed is None else sorted(doc.keys() - set(required) - set(allowed))
+    if missing or unexpected:
+        raise ValueError(f"missing keys {missing}, unexpected keys {unexpected}")
+    return doc
+
+
 def save_corpus(corpus: Corpus, root_path: str, extra_manifest: dict | None = None) -> None:
     """Write a corpus directory; the directory appears atomically.
 
@@ -250,14 +279,9 @@ def save_corpus(corpus: Corpus, root_path: str, extra_manifest: dict | None = No
     os.makedirs(parent, exist_ok=True)
     tmp = tempfile.mkdtemp(prefix=".corpus-tmp-", dir=parent)
     try:
-        manifest = {"name": corpus.name, **asdict(corpus.grid),
+        manifest = {**(extra_manifest or {}), "name": corpus.name, **asdict(corpus.grid),
                     "feature_mask": list(corpus.feature_mask)}
-        if extra_manifest:
-            for k, v in extra_manifest.items():
-                manifest.setdefault(k, v)
-        with open(os.path.join(tmp, MANIFEST_NAME), "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(os.path.join(tmp, MANIFEST_NAME), manifest)
 
         with open(os.path.join(tmp, SUBJECTS_NAME), "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
@@ -334,26 +358,17 @@ def load_corpus(root_path: str) -> Corpus:
         if not os.path.isfile(p):
             raise CorpusLoadError(f"{p}: missing")
 
-    try:
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise CorpusLoadError(f"{manifest_path}: invalid JSON ({e})") from e
-    try:
-        grid = GridSpec(
-            rows=int(manifest["rows"]),
-            cols=int(manifest["cols"]),
-            sensor_ceiling=float(manifest["sensor_ceiling"]),
-            frame_rate_hz=float(manifest["frame_rate_hz"]),
-        )
-        mask = tuple(bool(b) for b in manifest["feature_mask"])
-        name = str(manifest.get("name", "corpus"))
-    except (KeyError, TypeError, ValueError) as e:
-        raise CorpusLoadError(f"{manifest_path}: {e}") from e
-    if len(mask) != FEATURE_COUNT:
-        raise CorpusLoadError(
-            f"{manifest_path}: feature_mask must have {FEATURE_COUNT} entries"
-        )
+    def parse_manifest(doc):  # keys such as provenance are ignored
+        check_keys(doc, MANIFEST_KEYS)
+        grid = GridSpec(int(doc["rows"]), int(doc["cols"]), float(doc["sensor_ceiling"]),
+                        float(doc["frame_rate_hz"]))
+        mask = tuple(bool(b) for b in doc["feature_mask"])
+        if len(mask) != FEATURE_COUNT:
+            raise ValueError(f"feature_mask must have {FEATURE_COUNT} entries")
+        return grid, mask, str(doc.get("name", "corpus"))
+
+    grid, mask, name = read_json(manifest_path, "corpus manifest", parse_manifest,
+                                 CorpusLoadError)
 
     def parse_subject(row, line):
         sid, height, weight, age = row

@@ -13,13 +13,12 @@ arrays, and confusion matrices summed over the folds.
 """
 
 import dataclasses
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import baselines, mtnet
-from .dataset import atomic_write_text
+from .dataset import atomic_write_text, check_keys, read_json, write_json
 from .features import FEATURE_NAMES, FeatureTable
 
 
@@ -220,28 +219,29 @@ class EvaluationReport:
         return dataclasses.asdict(self)
 
     def save(self, path: str) -> None:
-        atomic_write_text(
-            path, json.dumps(self.to_document(), indent=2, sort_keys=True) + "\n"
-        )
+        write_json(path, self.to_document())
 
     @classmethod
     def load(cls, path: str) -> "EvaluationReport":
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict):
-            raise ValueError(f"{path}: not a report: a JSON {type(doc).__name__}, not an object")
         fields = dataclasses.fields(cls)
-        required = {f.name for f in fields if f.default_factory is dataclasses.MISSING}
-        missing = sorted(required - doc.keys())
-        unexpected = sorted(doc.keys() - {f.name for f in fields})
-        if missing or unexpected:
-            raise ValueError(f"{path}: not a report: missing keys {missing}, "
-                             f"unexpected keys {unexpected}")
-        agg = doc["aggregate"]
-        if not (isinstance(agg, dict)
-                and all(isinstance(agg.get(k), dict) for k in ("scalars", "arrays"))):
-            raise ValueError(f"{path}: not a report: aggregate needs 'scalars' and 'arrays'")
-        return cls(**doc)
+
+        def parse(doc):
+            check_keys(doc, [f.name for f in fields if f.default_factory is dataclasses.MISSING],
+                       [f.name for f in fields])
+            agg = doc["aggregate"]
+            if not (isinstance(agg, dict)
+                    and all(isinstance(agg.get(k), dict) for k in ("scalars", "arrays"))):
+                raise ValueError("aggregate needs 'scalars' and 'arrays'")
+            for name, entry in agg["scalars"].items():
+                if not (isinstance(entry, dict) and all(
+                        isinstance(entry.get(k), (int, float)) for k in ("mean", "std"))):
+                    raise ValueError(f"aggregate scalar {name!r} needs a numeric mean and std")
+            check_keys(doc["config_echo"])
+            for failed in doc.get("failed_folds", []):
+                check_keys(failed, ["fold"])
+            return cls(**doc)
+
+        return read_json(path, "report", parse)
 
     def scalar_metric_names(self) -> list[str]:
         return sorted(self.aggregate["scalars"])

@@ -11,7 +11,6 @@ stored in the model; an extra multinomial logistic head over the fifth-layer
 activations converts the regression model into a 5-way BMI classifier.
 """
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import lbfgs
 from .baselines import zscore_fit
-from .dataset import atomic_write_text
+from .dataset import check_keys, read_json, write_json
 
 HIDDEN_SIZES = (64, 128, 256, 256, 256)
 WEIGHT_DECAY = 1e-4  # L2 coefficient on weight matrices, trunk and class head alike
@@ -342,6 +341,8 @@ def predict_bmi_class(model: MultitaskModel, features: np.ndarray) -> np.ndarray
 
 MODEL_FORMAT = "pressmat-multitask-model"
 MODEL_VERSION = 3
+MODEL_KEYS = ["format", "version", "hidden_sizes", "subject_ids", "feature_mask", "norm_mean",
+              "norm_std", "weights", "biases", "config", "class_head"]
 
 
 def save_model(model: MultitaskModel, path: str) -> None:
@@ -363,44 +364,47 @@ def save_model(model: MultitaskModel, path: str) -> None:
             "bias": model.class_head.bias.tolist(),
         },
     }
-    atomic_write_text(path, json.dumps(doc, sort_keys=True) + "\n")
+    write_json(path, doc, indent=None)
 
 
 def load_model(path: str) -> MultitaskModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != MODEL_FORMAT:
-        raise ValueError(f"{path}: not a {MODEL_FORMAT} file")
-    if doc.get("version") != MODEL_VERSION:
-        raise ValueError(f"{path}: unsupported model version {doc.get('version')}")
-    if doc.get("hidden_sizes") != list(HIDDEN_SIZES):
-        raise ValueError(
-            f"{path}: hidden sizes {doc.get('hidden_sizes')} are not {list(HIDDEN_SIZES)}")
-    stored_mask = doc.get("feature_mask")
-    cfg = TrainConfig(**doc["config"])
-    head = None
-    if doc.get("class_head"):
-        head = BmiClassHead(
-            weight=np.asarray(doc["class_head"]["weight"], dtype=np.float64),
-            bias=np.asarray(doc["class_head"]["bias"], dtype=np.float64),
+    def parse(doc):
+        if doc.get("format") != MODEL_FORMAT:
+            raise ValueError(f"format is {doc.get('format')!r}, not {MODEL_FORMAT!r}")
+        if doc.get("version") != MODEL_VERSION:
+            raise ValueError(f"unsupported model version {doc.get('version')}")
+        check_keys(doc, MODEL_KEYS, ())
+        if doc["hidden_sizes"] != list(HIDDEN_SIZES):
+            raise ValueError(f"hidden sizes {doc['hidden_sizes']} are not {list(HIDDEN_SIZES)}")
+        head = doc["class_head"]
+        if head is not None:
+            check_keys(head, ["weight", "bias"], ())
+            head = BmiClassHead(weight=np.asarray(head["weight"], dtype=np.float64),
+                                bias=np.asarray(head["bias"], dtype=np.float64))
+        model = MultitaskModel(
+            weights=[np.asarray(w, dtype=np.float64) for w in doc["weights"]],
+            biases=[np.asarray(b, dtype=np.float64) for b in doc["biases"]],
+            subject_ids=tuple(doc["subject_ids"]),
+            norm_mean=np.asarray(doc["norm_mean"], dtype=np.float64),
+            norm_std=np.asarray(doc["norm_std"], dtype=np.float64),
+            feature_mask=None if doc["feature_mask"] is None else tuple(doc["feature_mask"]),
+            config=TrainConfig(**check_keys(doc["config"], ["max_iterations", "seed"], ())),
+            class_head=head,
         )
-    model = MultitaskModel(
-        weights=[np.asarray(w, dtype=np.float64) for w in doc["weights"]],
-        biases=[np.asarray(b, dtype=np.float64) for b in doc["biases"]],
-        subject_ids=tuple(doc["subject_ids"]),
-        norm_mean=np.asarray(doc["norm_mean"], dtype=np.float64),
-        norm_std=np.asarray(doc["norm_std"], dtype=np.float64),
-        feature_mask=tuple(stored_mask) if stored_mask is not None else None,
-        config=cfg,
-        class_head=head,
-    )
-    dims = _layer_dims(len(model.norm_mean), model.n_subjects)  # trunk, then both heads
-    weights, biases = model.weights, model.biases
-    if head is not None:  # reads the last trunk layer, like the other heads
-        dims.append((HIDDEN_SIZES[-1], np.size(head.bias)))
-        weights, biases = weights + [head.weight], biases + [head.bias]
-    if [np.shape(a) for a in weights + biases] != dims + [d[1:] for d in dims]:
-        raise ValueError(f"{path}: weight and bias shapes do not chain from "
-                         f"{len(model.norm_mean)} features through the trunk to the "
-                         f"heads for {model.n_subjects} subjects and BMI")
-    return model
+        if len(set(model.subject_ids)) != model.n_subjects:
+            raise ValueError(f"subject_ids {list(model.subject_ids)} repeat an id")
+        if not (np.shape(model.norm_std) == np.shape(model.norm_mean)
+                and np.all(np.isfinite(model.norm_std) & (model.norm_std > 0))):
+            raise ValueError("norm_std must hold one finite, positive entry per feature")
+        dims = _layer_dims(len(model.norm_mean), model.n_subjects)  # trunk, then both heads
+        weights, biases = model.weights, model.biases
+        if head is not None:  # reads the last trunk layer, like the other heads
+            dims.append((HIDDEN_SIZES[-1], np.size(head.bias)))
+            weights, biases = weights + [head.weight], biases + [head.bias]
+        if [np.shape(a) for a in weights + biases] != dims + [d[1:] for d in dims]:
+            raise ValueError(f"weight and bias shapes do not chain from "
+                             f"{len(model.norm_mean)} features through the trunk to the "
+                             f"heads for {model.n_subjects} subjects and BMI")
+        return model
+
+    return read_json(path, "model", parse)

@@ -407,6 +407,16 @@ class TestReportLoad:
         assert cli_main(["report", "--in", path]) == 1
         assert re.search(want, capsys.readouterr().err)
 
+    @pytest.mark.parametrize("entry", [1, {"mean": 0.5}, {"mean": "x", "std": 0.1}])
+    def test_scalar_entry_without_numeric_mean_and_std_named(self, tmp_path, capsys, entry):
+        _, path = self._saved(tmp_path, lambda doc: doc["aggregate"].update(scalars={"x": entry}))
+        want = (rf"{re.escape(path)}: not a report: "
+                r"aggregate scalar 'x' needs a numeric mean and std$")
+        with pytest.raises(ValueError, match=want):
+            EvaluationReport.load(path)
+        assert cli_main(["report", "--in", path]) == 1
+        assert re.search(want, capsys.readouterr().err)
+
     def test_missing_failed_folds_loads_as_none_failed(self, tmp_path):
         report, path = self._saved(tmp_path, lambda doc: doc.pop("failed_folds"))
         assert EvaluationReport.load(path) == report

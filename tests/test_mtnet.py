@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -355,4 +356,21 @@ class TestSerialization:
         edit(doc)
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=rf"model\.json: .*{message}"):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("std", [0.0, -1.0, float("inf"), float("nan")])
+    def test_non_positive_or_non_finite_norm_std_rejected_with_path(self, tmp_path, std):
+        model, *_ = random_model()
+        model.norm_std[3] = std
+        path = tmp_path / "model.json"
+        save_model(model, str(path))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: .*norm_std must hold"):
+            load_model(str(path))
+
+    def test_repeated_subject_ids_rejected_with_path(self, tmp_path):
+        model, *_ = random_model()
+        model.subject_ids = ("P0", "P1", "P0", "P3", "P4")
+        path = tmp_path / "model.json"
+        save_model(model, str(path))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: .*repeat an id"):
             load_model(str(path))
