@@ -140,7 +140,6 @@ def cmd_report(args) -> int:
         for name in report.scalar_metric_names():
             entry = report.aggregate["scalars"][name]
             lines.append(f"{name},{entry['mean']!r},{entry['std']!r}")
-        text = "\n".join(lines) + "\n"
     else:
         width = max((len(n) for n in report.scalar_metric_names()), default=10)
         lines = [f"recipe: {report.config_echo.get('recipe', '?')}   "
@@ -150,7 +149,7 @@ def cmd_report(args) -> int:
             lines.append(f"{name:<{width}}  {entry['mean']:.4f} +/- {entry['std']:.4f}")
         if report.failed_folds:
             lines.append(f"failed folds: {[f['fold'] for f in report.failed_folds]}")
-        text = "\n".join(lines) + "\n"
+    text = "\n".join(lines) + "\n"
     if args.out:
         atomic_write_text(args.out, text)
     else:

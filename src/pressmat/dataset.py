@@ -9,6 +9,11 @@ A corpus on disk is a directory with three files:
 
 Values survive a save/load round trip bit-exactly because floats are written
 with ``repr`` (shortest round-trip form).
+
+CSV tables go through ``read_csv``/``write_csv`` and JSON documents through
+``read_json``/``write_json``. Every output file, and the corpus directory, is
+written as a fresh sibling that then replaces it: the umask sets its mode,
+and its parent directory must already exist.
 """
 
 import csv
@@ -16,7 +21,7 @@ import json
 import operator
 import os
 import shutil
-import tempfile
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 
@@ -223,22 +228,48 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write ``text`` as UTF-8, byte for byte (no newline translation).
-
-    The text goes to a temporary sibling file which then replaces ``path``,
-    so a crash never leaves a half-written file.
-    """
-    parent = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(parent, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=f".{os.path.basename(path)}-", dir=parent, text=True)
+@contextmanager
+def _replacing(path: str, directory: bool = False):
+    """Yield a fresh sibling of ``path``, made as ``open`` or ``mkdir`` makes it
+    (the umask sets its mode; a missing parent raises FileNotFoundError): a UTF-8
+    text file open for writing, newlines untranslated, or the name of an empty
+    directory. It replaces ``path`` when the block ends, or is removed if the
+    block raises; a directory at ``path`` is moved aside meanwhile, then removed."""
+    parent, name = os.path.split(os.path.abspath(path))
+    stem = os.path.join(parent, f".{name}.{os.urandom(4).hex()}")
+    tmp, aside = stem + ".tmp", stem + ".old"
+    if directory:
+        os.mkdir(tmp)
+    made = nullcontext(tmp) if directory else open(tmp, "x", newline="", encoding="utf-8")
     try:
-        with os.fdopen(fd, "w", newline="", encoding="utf-8") as fh:
-            fh.write(text)
+        with made as out:
+            yield out
+        if directory and os.path.isdir(path):
+            os.rename(path, aside)
         os.replace(tmp, path)
-    except Exception:
-        os.unlink(tmp)
+    except BaseException:
+        if os.path.isdir(aside):
+            os.rename(aside, path)
+        shutil.rmtree(tmp) if directory else os.unlink(tmp)
         raise
+    if os.path.isdir(aside):
+        shutil.rmtree(aside)
+
+
+def atomic_write_text(path: str, text: str) -> None:
+    """Write ``text`` as UTF-8, byte for byte (no newline translation), through
+    a sibling that replaces ``path``, so a crash never leaves a half-written file."""
+    with _replacing(path) as fh:
+        fh.write(text)
+
+
+def write_csv(path: str, header: list[str], rows) -> None:
+    """Write ``header`` and then each row of the iterable ``rows`` as CSV lines
+    ending in CRLF, replacing ``path`` as :func:`atomic_write_text` does."""
+    with _replacing(path) as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def write_json(path: str, doc: dict, indent: int | None = 2) -> None:
@@ -279,40 +310,22 @@ def check_mask(value) -> tuple[bool, ...]:
 def save_corpus(corpus: Corpus, root_path: str, extra_manifest: dict | None = None) -> None:
     """Write a corpus directory; the directory appears atomically.
 
-    The three files are written into a temporary sibling directory which then
-    replaces ``root_path``, so a crash never leaves a half-written corpus.
+    The three files are written into a sibling directory which then replaces
+    ``root_path``, so a crash never leaves a half-written corpus.
     """
-    parent = os.path.dirname(os.path.abspath(root_path)) or "."
-    os.makedirs(parent, exist_ok=True)
-    tmp = tempfile.mkdtemp(prefix=".corpus-tmp-", dir=parent)
-    try:
-        manifest = {**(extra_manifest or {}), "name": corpus.name, **asdict(corpus.grid),
-                    "feature_mask": list(corpus.feature_mask)}
+    manifest = {**(extra_manifest or {}), "name": corpus.name, **asdict(corpus.grid),
+                "feature_mask": list(corpus.feature_mask)}
+    with _replacing(root_path, directory=True) as tmp:
         write_json(os.path.join(tmp, MANIFEST_NAME), manifest)
-
-        with open(os.path.join(tmp, SUBJECTS_NAME), "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(SUBJECTS_HEADER)
-            for sid in sorted(corpus.subjects):
-                rec = corpus.subjects[sid]
-                age = "" if rec.age_years is None else _fmt(rec.age_years)
-                w.writerow([sid, _fmt(rec.height_m), _fmt(rec.weight_kg), age])
-
-        with open(os.path.join(tmp, FRAMES_NAME), "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(_frames_header(corpus.grid))
-            for f in corpus.frames:
-                # repr of a Python float is _fmt of the numpy scalar, without boxing each cell
-                row = [f.subject_id, str(f.posture_id), str(f.frame_index)]
-                row += map(repr, f.values.ravel().tolist())
-                w.writerow(row)
-
-        if os.path.isdir(root_path):
-            shutil.rmtree(root_path)
-        os.replace(tmp, root_path)
-    except Exception:
-        shutil.rmtree(tmp, ignore_errors=True)
-        raise
+        write_csv(os.path.join(tmp, SUBJECTS_NAME), SUBJECTS_HEADER, (
+            [sid, _fmt(rec.height_m), _fmt(rec.weight_kg),
+             "" if rec.age_years is None else _fmt(rec.age_years)]
+            for sid, rec in sorted(corpus.subjects.items())))
+        # repr of a Python float is _fmt of the numpy scalar, without boxing each cell
+        write_csv(os.path.join(tmp, FRAMES_NAME), _frames_header(corpus.grid), (
+            [f.subject_id, str(f.posture_id), str(f.frame_index),
+             *map(repr, f.values.ravel().tolist())]
+            for f in corpus.frames))
 
 
 def _frames_header(grid: GridSpec) -> list[str]:

@@ -171,9 +171,8 @@ class KnnRecipe:
         mean, std = baselines.zscore_fit(train.x)
         xtr = (train.x - mean) / std
         xte = (test.x - mean) / std
-        k = min(self.k, len(xtr))
-        id_idx = baselines.knn_classify_batch(xtr, train.subject_idx, xte, k, self.metric)
-        cls = baselines.knn_classify_batch(xtr, train.bmi_class, xte, k, self.metric)
+        id_idx = baselines.knn_classify_batch(xtr, train.subject_idx, xte, self.k, self.metric)
+        cls = baselines.knn_classify_batch(xtr, train.bmi_class, xte, self.k, self.metric)
         return {"identity_pred_idx": id_idx, "bmi_class_pred": cls}
 
 

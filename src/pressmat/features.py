@@ -12,8 +12,6 @@ variance = skewness = kurtosis = 0, and zero variance gives skewness =
 kurtosis = 0.
 """
 
-import csv
-import io
 import math
 from collections import namedtuple
 from dataclasses import dataclass, replace
@@ -22,7 +20,7 @@ import numpy as np
 
 from . import baselines
 from .dataset import (
-    BMI_BAND, FEATURE_COUNT, FRAME_KEY, Corpus, PressureFrame, atomic_write_text, read_csv,
+    BMI_BAND, FEATURE_COUNT, FRAME_KEY, Corpus, PressureFrame, read_csv, write_csv,
 )
 
 FEATURE_NAMES = (
@@ -361,21 +359,11 @@ FEATURES_CSV_HEADER = FRAME_KEY + [f"f{i}" for i in range(FEATURE_COUNT)] + ["bm
 
 def save_feature_table(table: FeatureTable, path: str) -> None:
     """Write features.csv atomically; masked features become empty cells."""
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(FEATURES_CSV_HEADER)
-    for i in range(len(table)):
-        row = [
-            str(table.subject_ids[i]),
-            str(int(table.posture_ids[i])),
-            str(int(table.frame_indices[i])),
-        ]
-        row += [
-            "" if np.isnan(v) else repr(float(v)) for v in table.X[i]
-        ]
-        row.append(repr(float(table.bmi[i])))
-        w.writerow(row)
-    atomic_write_text(path, buf.getvalue())
+    rows = zip(table.subject_ids, table.posture_ids, table.frame_indices, table.X, table.bmi)
+    write_csv(path, FEATURES_CSV_HEADER, (
+        [str(sid), str(int(posture)), str(int(index)),
+         *("" if np.isnan(v) else repr(float(v)) for v in x), repr(float(bmi))]
+        for sid, posture, index, x, bmi in rows))
 
 
 _FeatureRow = namedtuple("_FeatureRow", FRAME_KEY + ["values", "bmi"])

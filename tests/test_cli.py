@@ -156,6 +156,34 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert "S0" in err
 
+    def test_knn_k_above_the_training_fold_fails(self, small_pipeline, tmp_path, capsys):
+        *_, feats = small_pipeline
+        report_path = tmp_path / "r.json"
+        assert run(["eval", "--features", feats, "--recipe", "knn", "--knn-k", "100000",
+                    "--folds", "5", "--seed", "3", "--report-out", str(report_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("pressmat eval: error: 2 folds failed") and err.count("\n") == 1
+        assert "k must be in 1..48, got 100000" in err
+        assert not report_path.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "synth"])
+    def test_missing_output_directory_fails_and_creates_nothing(
+            self, small_pipeline, tmp_path, capsys, command):
+        *_, feats = small_pipeline
+        missing = tmp_path / "missing"
+        argv = {
+            "eval": ["eval", "--features", feats, "--recipe", "knn", "--folds", "5",
+                     "--seed", "3", "--report-out", str(missing / "r.json")],
+            "synth": ["synth", "--subjects", "2", "--frames-per-subject", "2", "--rows", "8",
+                      "--cols", "8", "--seed", "1", "--out", str(missing / "raw")],
+        }[command]
+        before = sorted(os.listdir(tmp_path))
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"pressmat {command}: error: ") and err.count("\n") == 1
+        assert str(missing) in err
+        assert sorted(os.listdir(tmp_path)) == before
+
     def test_programming_error_in_a_recipe_keeps_its_traceback(
             self, small_pipeline, tmp_path, monkeypatch):
         *_, feats = small_pipeline

@@ -1,10 +1,13 @@
 import csv
+import errno
 import os
+import stat
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from pressmat import dataset, mtnet
 from pressmat.dataset import (
     Corpus,
     CorpusLoadError,
@@ -17,8 +20,11 @@ from pressmat.dataset import (
     load_posture_table,
     merge_postures,
     save_corpus,
+    write_csv,
+    write_json,
 )
 from pressmat.adapters import read_subjects_csv
+from pressmat.evalharness import EvaluationReport
 from pressmat.features import (
     FEATURE_NAMES, extract_table, load_feature_table, save_feature_table,
 )
@@ -184,12 +190,13 @@ class TestRoundTrip:
         save_corpus(tiny_corpus, root)
         save_corpus(tiny_corpus, root)  # no error, replaced atomically
         assert load_corpus(root).subjects == tiny_corpus.subjects
+        assert os.listdir(tmp_path) == ["c"]  # the old directory moved aside is gone
 
 
 
 class TestAtomicWriteText:
     def test_text_is_written_byte_for_byte(self, tmp_path):
-        path = tmp_path / "sub" / "out.csv"
+        path = tmp_path / "out.csv"
         atomic_write_text(str(path), "a,b\r\n1,\u00e9\n")
         assert path.read_bytes() == "a,b\r\n1,\u00e9\n".encode("utf-8")
         assert os.listdir(path.parent) == ["out.csv"]
@@ -381,3 +388,146 @@ class TestLoaderErrorsCiteLines:
         path.write_text(header + "\nS1,70,30\n")
         with pytest.raises(ValueError, match=rf"raw\.csv: line 1: {want}$"):
             read_subjects_csv(str(path))
+
+
+def _report() -> EvaluationReport:
+    scalars = [{"identity_accuracy": 0.5}, {"identity_accuracy": 1.0}]
+    return EvaluationReport(
+        config_echo={"recipe": "knn"}, identity_classes=["S01", "S02"],
+        per_fold=[{"fold": i, "scalars": s, "arrays": {}} for i, s in enumerate(scalars)],
+        aggregate={"scalars": {"identity_accuracy": {"mean": 0.75, "std": 0.35}},
+                   "arrays": {}})
+
+
+# writer -> (its output's name, the file in that output a fault interrupts)
+WRITERS = {
+    "atomic_write_text": ("out.txt", "out.txt"),
+    "write_json": ("out.json", "out.json"),
+    "write_csv": ("out.csv", "out.csv"),
+    "save_feature_table": ("features.csv", "features.csv"),
+    "save_corpus": ("corpus", "frames.csv"),
+    "save_model": ("model.json", "model.json"),
+    "EvaluationReport.save": ("report.json", "report.json"),
+    "save_per_fold_csv": ("per_fold.csv", "per_fold.csv"),
+}
+
+
+@pytest.fixture(params=list(WRITERS))
+def writer(request, tiny_corpus):
+    """One writer: its output's name, the file a fault interrupts, and a call
+    that writes the output to a path."""
+    name = request.param
+    table = extract_table(tiny_corpus)
+    if name == "save_model":
+        model = mtnet.train(table.active_matrix(), table.subject_ids, table.bmi,
+                            mtnet.TrainConfig(max_iterations=1), feature_mask=table.mask)
+        return (*WRITERS[name], lambda p: mtnet.save_model(model, p))
+    write = {
+        "atomic_write_text": lambda p: atomic_write_text(p, "a,b\n1,\u00e9\n"),
+        "write_json": lambda p: write_json(p, {"b": [1.5, None], "a": "x"}),
+        "write_csv": lambda p: write_csv(p, ["a", "b"], ([i, i * i] for i in range(5))),
+        "save_feature_table": lambda p: save_feature_table(table, p),
+        "save_corpus": lambda p: save_corpus(tiny_corpus, p),
+        "EvaluationReport.save": lambda p: _report().save(p),
+        "save_per_fold_csv": lambda p: _report().save_per_fold_csv(p),
+    }[name]
+    return (*WRITERS[name], write)
+
+
+@pytest.fixture(params=[(0o022, 0o644, 0o755), (0o077, 0o600, 0o700)],
+                ids=["umask022", "umask077"])
+def umask(request):
+    """Run the test under a umask; the file and directory modes it gives."""
+    mask, file_mode, dir_mode = request.param
+    old = os.umask(mask)
+    try:
+        yield file_mode, dir_mode
+    finally:
+        os.umask(old)
+
+
+class _DiskFull:
+    """A file opened for writing whose first write stores half of its text
+    and then fails as a full disk does."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[:len(text) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _snapshot(path):
+    """A file's bytes, or a directory's file names and bytes."""
+    if path.is_dir():
+        return {p.name: p.read_bytes() for p in path.iterdir()}
+    return path.read_bytes()
+
+
+class TestWriterContract:
+    """Every writer: its output is written as a sibling that then replaces it,
+    the umask sets the mode, a missing parent is an error, and a failed write
+    leaves the old output and no sibling behind."""
+
+    def test_mode_follows_the_umask(self, writer, umask, tmp_path):
+        name, _, write = writer
+        file_mode, dir_mode = umask
+        path = tmp_path / name
+        write(str(path))
+        assert os.listdir(tmp_path) == [name]
+        files = list(path.iterdir()) if path.is_dir() else [path]
+        if path.is_dir():
+            assert stat.S_IMODE(path.stat().st_mode) == dir_mode
+            assert sorted(p.name for p in files) == ["frames.csv", "manifest.json",
+                                                     "subjects.csv"]
+        for p in files:
+            assert stat.S_IMODE(p.stat().st_mode) == file_mode, p.name
+
+    def test_missing_parent_raises_and_creates_nothing(self, writer, tmp_path):
+        name, _, write = writer
+        with pytest.raises(FileNotFoundError):
+            write(str(tmp_path / "missing" / name))
+        assert os.listdir(tmp_path) == []
+
+    def test_failed_write_keeps_the_old_output(self, writer, tmp_path, monkeypatch):
+        name, fault, write = writer
+        path = tmp_path / name
+        write(str(path))
+        old = _snapshot(path)
+
+        def disk_full_open(file, mode="r", *args, **kwargs):
+            fh = open(file, mode, *args, **kwargs)
+            writing = mode[0] in "wxa" and fault in os.path.basename(file)
+            return _DiskFull(fh) if writing else fh
+
+        monkeypatch.setattr(dataset, "open", disk_full_open, raising=False)
+        with pytest.raises(OSError, match="No space left on device"):
+            write(str(path))
+        monkeypatch.undo()
+        assert _snapshot(path) == old
+        assert os.listdir(tmp_path) == [name]
+
+    def test_failed_swap_keeps_the_old_corpus(self, tiny_corpus, tmp_path, monkeypatch):
+        root = tmp_path / "corpus"
+        save_corpus(tiny_corpus, str(root))
+        old = _snapshot(root)
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if dst == str(root):
+                raise OSError(errno.EIO, "Input/output error")
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError, match="Input/output error"):
+            save_corpus(tiny_corpus, str(root))
+        monkeypatch.undo()
+        assert _snapshot(root) == old
+        assert os.listdir(tmp_path) == ["corpus"]

@@ -156,15 +156,27 @@ def test_mutated_document_loads_or_names_its_path(valid, name, data):
             assert str(e).startswith(prefix), str(e)
 
 
-def test_only_dataset_imports_json():
-    def imports_json(source: str) -> bool:
+PACKAGE = pathlib.Path(pressmat.__file__).parent
+
+
+@pytest.mark.parametrize("module, importers", [
+    ("json", ["dataset.py"]),
+    ("shutil", ["dataset.py"]),
+    ("tempfile", []),  # the one write rule makes its own sibling names
+    ("csv", ["adapters.py", "dataset.py"]),  # adapters reads its raw header
+])
+def test_only_the_file_rule_imports(module, importers):
+    def imports(source: str) -> bool:
         return any(
             (isinstance(node, ast.Import)
-             and any(a.name.split(".")[0] == "json" for a in node.names))
-            or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "json")
+             and any(a.name.split(".")[0] == module for a in node.names))
+            or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == module)
             for node in ast.walk(ast.parse(source))
         )
 
-    package = pathlib.Path(pressmat.__file__).parent
-    assert sorted(p.name for p in package.glob("*.py") if imports_json(p.read_text())) \
-        == ["dataset.py"]
+    assert sorted(p.name for p in PACKAGE.glob("*.py") if imports(p.read_text())) == importers
+
+
+def test_one_csv_writer():
+    assert [(p.name, p.read_text().count("csv.writer")) for p in PACKAGE.glob("*.py")
+            if "csv.writer" in p.read_text()] == [("dataset.py", 1)]
