@@ -231,16 +231,20 @@ def _fmt(x: float) -> str:
 @contextmanager
 def _replacing(path: str, directory: bool = False):
     """Yield a fresh sibling of ``path``, made as ``open`` or ``mkdir`` makes it
-    (the umask sets its mode; a missing parent raises FileNotFoundError): a UTF-8
-    text file open for writing, newlines untranslated, or the name of an empty
-    directory. It replaces ``path`` when the block ends, or is removed if the
-    block raises; a directory at ``path`` is moved aside meanwhile, then removed."""
+    (the umask sets its mode; a missing parent raises FileNotFoundError; an
+    error in making it names ``path``): a UTF-8 text file open for writing,
+    newlines untranslated, or the name of an empty directory. It replaces
+    ``path`` when the block ends, or is removed if the block raises; a
+    directory at ``path`` is moved aside meanwhile, then removed."""
     parent, name = os.path.split(os.path.abspath(path))
     stem = os.path.join(parent, f".{name}.{os.urandom(4).hex()}")
     tmp, aside = stem + ".tmp", stem + ".old"
-    if directory:
-        os.mkdir(tmp)
-    made = nullcontext(tmp) if directory else open(tmp, "x", newline="", encoding="utf-8")
+    try:
+        if directory:
+            os.mkdir(tmp)
+        made = nullcontext(tmp) if directory else open(tmp, "x", newline="", encoding="utf-8")
+    except OSError as e:  # name the output, not the sibling
+        raise OSError(e.errno, e.strerror, path) from None
     try:
         with made as out:
             yield out

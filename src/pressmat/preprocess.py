@@ -1,16 +1,18 @@
 """Spatio-temporal denoising: spatial median per frame, then temporal Gaussian.
 
-The median window shrinks at mat edges (no synthetic padding enters a median),
-the temporal filter reflects at session ends. Sessions are maximal runs of
-frames sharing (subject, posture) with consecutive frame indices; an index gap
-marks a recording boundary and the temporal filter never smooths across it.
+Both windows must be odd, so each filter is centred on the cell or frame it
+replaces. The median window shrinks at mat edges (no synthetic padding enters
+a median). The temporal filter reflects at session ends, edge frame included
+(``d c b a | a b c d | d c b a``), and reflects again for a session shorter
+than its half-window. Sessions are maximal runs of frames sharing (subject,
+posture) with consecutive frame indices; an index gap marks a recording
+boundary and the temporal filter never smooths across it.
 """
 
 from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.ndimage import convolve1d
 
 from .dataset import Corpus, PressureFrame
 
@@ -64,12 +66,12 @@ def median_filter(frame: PressureFrame, window: int = 3) -> PressureFrame:
 
 
 def gaussian_kernel(window: int, sigma: float) -> np.ndarray:
-    """Discrete Gaussian taps of the given length, normalized to sum 1."""
-    if window < 1:
-        raise ValueError(f"gaussian window must be positive, got {window}")
+    """Discrete Gaussian taps of the given odd length, normalized to sum 1."""
+    if window < 1 or window % 2 == 0:
+        raise ValueError(f"gaussian window must be odd and positive, got {window}")
     if not (sigma > 0):
         raise ValueError(f"sigma must be positive, got {sigma}")
-    offsets = np.arange(window, dtype=np.float64) - (window - 1) / 2.0
+    offsets = np.arange(window, dtype=np.float64) - window // 2
     k = np.exp(-0.5 * (offsets / sigma) ** 2)
     return k / k.sum()
 
@@ -81,7 +83,9 @@ def temporal_gaussian(
 
     The frames must form one run of :func:`split_sessions`, else the error
     names the two frame keys where it breaks. Reflection at the ends lets a
-    constant session (and a single frame) pass through unchanged.
+    constant session (and a single frame) pass through unchanged. Taps are
+    summed centre first, then in pairs from the outermost in, so the result
+    equals a reflect-mode 1-D convolution bit for bit.
     """
     if not session:
         raise ValueError("session must contain at least one frame")
@@ -90,8 +94,12 @@ def temporal_gaussian(
         raise ValueError(f"not one session: {runs[0][-1].key} -> {runs[1][0].key}")
 
     kernel = gaussian_kernel(window, sigma)
+    c, n = window // 2, len(session)
     stack = np.stack([f.values for f in session])  # (T, R, C)
-    smoothed = convolve1d(stack, kernel, axis=0, mode="reflect")
+    padded = np.pad(stack, ((c, c), (0, 0), (0, 0)), mode="symmetric")
+    smoothed = kernel[c] * stack
+    for j in range(c, 0, -1):
+        smoothed += kernel[c - j] * (padded[c - j:c - j + n] + padded[c + j:c + j + n])
     smoothed = np.clip(smoothed, 0.0, session[0].grid.sensor_ceiling)
     return [replace(f, values=smoothed[t]) for t, f in enumerate(session)]
 

@@ -171,17 +171,19 @@ class TestPipeline:
             self, small_pipeline, tmp_path, capsys, command):
         *_, feats = small_pipeline
         missing = tmp_path / "missing"
+        out = str(missing / {"eval": "r.json", "synth": "raw"}[command])
         argv = {
             "eval": ["eval", "--features", feats, "--recipe", "knn", "--folds", "5",
-                     "--seed", "3", "--report-out", str(missing / "r.json")],
+                     "--seed", "3", "--report-out", out],
             "synth": ["synth", "--subjects", "2", "--frames-per-subject", "2", "--rows", "8",
-                      "--cols", "8", "--seed", "1", "--out", str(missing / "raw")],
+                      "--cols", "8", "--seed", "1", "--out", out],
         }[command]
         before = sorted(os.listdir(tmp_path))
         assert run(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"pressmat {command}: error: ") and err.count("\n") == 1
-        assert str(missing) in err
+        # the error names the output the user gave, not the temporary sibling
+        assert f"'{out}'" in err and ".tmp" not in err
         assert sorted(os.listdir(tmp_path)) == before
 
     def test_programming_error_in_a_recipe_keeps_its_traceback(
@@ -235,6 +237,21 @@ class TestPipeline:
         b = load_corpus(out_dir)
         for fa, fb in zip(a.frames, b.frames):
             assert np.array_equal(fa.values, fb.values)
+
+    def test_even_gaussian_window_fails(self, tmp_path, capsys):
+        corpus_dir = str(tmp_path / "c")
+        assert run([
+            "synth", "--subjects", "2", "--frames-per-subject", "2",
+            "--rows", "8", "--cols", "8", "--seed", "1", "--out", corpus_dir,
+        ]) == 0
+        capsys.readouterr()
+        assert run([
+            "preprocess", "--in", corpus_dir, "--out", str(tmp_path / "o"),
+            "--gaussian-window", "4",
+        ]) == 1
+        assert capsys.readouterr().err == (
+            "pressmat preprocess: error: gaussian window must be odd and positive, got 4\n")
+        assert not (tmp_path / "o").exists()
 
 
 class TestIngestCli:

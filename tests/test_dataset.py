@@ -492,9 +492,20 @@ class TestWriterContract:
 
     def test_missing_parent_raises_and_creates_nothing(self, writer, tmp_path):
         name, _, write = writer
-        with pytest.raises(FileNotFoundError):
-            write(str(tmp_path / "missing" / name))
+        path = str(tmp_path / "missing" / name)
+        with pytest.raises(FileNotFoundError) as info:
+            write(path)
+        assert info.value.filename == path
         assert os.listdir(tmp_path) == []
+
+    def test_parent_that_is_a_file_raises_naming_the_output(self, writer, tmp_path):
+        name, _, write = writer
+        (tmp_path / "file").touch()
+        path = str(tmp_path / "file" / name)
+        with pytest.raises(NotADirectoryError) as info:
+            write(path)
+        assert info.value.filename == path
+        assert os.listdir(tmp_path) == ["file"]
 
     def test_failed_write_keeps_the_old_output(self, writer, tmp_path, monkeypatch):
         name, fault, write = writer

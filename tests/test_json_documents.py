@@ -164,6 +164,7 @@ PACKAGE = pathlib.Path(pressmat.__file__).parent
     ("shutil", ["dataset.py"]),
     ("tempfile", []),  # the one write rule makes its own sibling names
     ("csv", ["adapters.py", "dataset.py"]),  # adapters reads its raw header
+    ("scipy", []),  # numpy is the only runtime dependency
 ])
 def test_only_the_file_rule_imports(module, importers):
     def imports(source: str) -> bool:

@@ -24,6 +24,12 @@ def nanmedian_oracle(values, window, ceiling):
     return np.clip(np.nanmedian(windows, axis=(2, 3)), 0.0, ceiling)
 
 
+def convolve1d_oracle(stack, kernel, ceiling):
+    """The temporal filter as a reflect-mode 1-D convolution along time, clipped."""
+    ndimage = pytest.importorskip("scipy.ndimage")
+    return np.clip(ndimage.convolve1d(stack, kernel, axis=0, mode="reflect"), 0.0, ceiling)
+
+
 def split_sessions_oracle(frames):
     """The session split as an explicit field-by-field loop."""
     sessions = []
@@ -119,6 +125,34 @@ class TestTemporalGaussian:
         assert k.sum() == pytest.approx(1.0)
         assert np.all(k > 0)
         assert np.array_equal(k, k[::-1])
+
+    @pytest.mark.parametrize("window", [1, 3, 5, 7, 9, 11])
+    @pytest.mark.parametrize("n_frames", [1, 2, 3, 4, 5, 8, 13, 20])
+    def test_matches_convolve1d_oracle_bit_for_bit(self, window, n_frames):
+        # sessions shorter than the half-window reflect more than once
+        rng = np.random.default_rng(window * 100 + n_frames)
+        shape = (n_frames, 3, 4)
+        stacks = [
+            rng.integers(0, 1001, shape).astype(np.float64),
+            rng.integers(0, 2001, shape) / 2.0,
+            rng.uniform(0.0, 1000.0, shape),
+        ]
+        for sigma in (0.5, 1.0, 1.7, 3.0):
+            kernel = gaussian_kernel(window, sigma)
+            for stack in stacks:
+                got = np.stack([f.values for f in temporal_gaussian(
+                    self._session(stack), window, sigma)])
+                want = convolve1d_oracle(stack, kernel, 1000.0)
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("window", [-1, 0, 2, 4, 6])
+    def test_even_window_rejected(self, window):
+        message = f"gaussian window must be odd and positive, got {window}$"
+        with pytest.raises(ValueError, match=message):
+            gaussian_kernel(window, 1.0)
+        with pytest.raises(ValueError, match=message):
+            temporal_gaussian(self._session([np.zeros((2, 2))] * 9), window, 1.0)
 
     def test_constant_session_unchanged(self):
         session = self._session([np.full((3, 3), 7.0)] * 6)
