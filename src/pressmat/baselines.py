@@ -20,7 +20,8 @@ N_BMI_CLASSES = 5       # the paper's BMI classes
 def zscore_fit(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-feature mean and std on training data; constant features get std 1."""
     mean = x.mean(axis=0)
-    std = x.std(axis=0)
+    # x.std(axis=0) bit for bit, without reducing the mean a second time
+    std = np.sqrt(np.square(x - mean).sum(axis=0) / len(x))
     std = np.where(std < 1e-12, 1.0, std)
     return mean, std
 

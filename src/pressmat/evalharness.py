@@ -6,10 +6,12 @@ refit inside each training fold. BMI classes are the exact least-squares
 split of every subject's table-wide BMI (``FeatureTable.bmi_classes``, one
 rule for the class count); they depend on the table alone, so each CV run
 builds them once, before its first fold, and every fold scores against the
-same labels. Each completed fold's metrics are its ``per_fold`` record, and
-the aggregate is computed from those records alone: mean and sample (n-1)
-standard deviation of every scalar and of the identity precision/recall/F1
-arrays, and confusion matrices summed over the folds.
+same labels. Drop-column importance builds the fold split, the labels and
+the classes once for all its runs, which differ only in their features.
+Each completed fold's metrics are its ``per_fold`` record, and the aggregate
+is computed from those records alone: mean and sample (n-1) standard
+deviation of every scalar and of the identity precision/recall/F1 arrays,
+and confusion matrices summed over the folds.
 """
 
 import dataclasses
@@ -87,11 +89,19 @@ def accuracy(pred, truth) -> float:
 
 
 def confusion_matrix(truth, pred, n_classes: int) -> np.ndarray:
-    """Counts with rows = truth, columns = prediction."""
+    """Counts with rows = truth, columns = prediction.
+
+    A label outside ``0..n_classes-1`` names no class, a bug in whatever
+    produced it, and raises IndexError.
+    """
     pred, truth = _paired("confusion_matrix", pred, truth, int)
-    m = np.zeros((n_classes, n_classes), dtype=int)
-    np.add.at(m, (truth, pred), 1)
-    return m
+    bad = (truth < 0) | (truth >= n_classes) | (pred < 0) | (pred >= n_classes)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise IndexError(f"labels must lie in 0..{n_classes - 1}; "
+                         f"row {i} has truth {truth[i]}, prediction {pred[i]}")
+    counts = np.bincount(truth * n_classes + pred, minlength=n_classes * n_classes)
+    return counts.reshape(n_classes, n_classes)
 
 
 def per_class_prf(truth, pred, n_classes: int) -> dict:
@@ -280,13 +290,18 @@ def _fold_scores(preds: dict, test: FoldData, n_subjects: int,
     return scalars, arrays
 
 
+def _fold_values(per_fold: list[dict], kind: str, name: str) -> np.ndarray:
+    """One metric stacked over the folds that report it."""
+    return np.asarray([e[kind][name] for e in per_fold if name in e[kind]])
+
+
 def _aggregate(per_fold: list[dict]) -> dict:
     """Mean and sample std over the folds of each scalar and per-class array;
     each ``<name>_confusion`` array is summed into ``<name>_confusion_total``."""
     aggregate: dict = {"scalars": {}, "arrays": {}}
     for kind in ("scalars", "arrays"):
         for name in dict.fromkeys(k for e in per_fold for k in e[kind]):
-            v = np.asarray([e[kind][name] for e in per_fold if name in e[kind]])
+            v = _fold_values(per_fold, kind, name)
             if name.endswith("_confusion"):
                 aggregate[f"{name}_total"] = v.sum(axis=0).tolist()
                 continue
@@ -297,6 +312,67 @@ def _aggregate(per_fold: list[dict]) -> dict:
 
 class CVAbortedError(RuntimeError):
     """Two folds of a CV run failed on bad data."""
+
+
+@dataclass(frozen=True)
+class _CvSplit:
+    """Everything a CV run derives from the table's labels and the plan.
+
+    Tables that differ only in their feature columns (drop-column runs)
+    share one split, so its folds, labels and BMI classes are built once.
+    """
+
+    class_order: list[str]
+    n_classes: int  # BMI classes, 0 when the recipe scores none
+    # per fold: train rows, test rows, their labels (the FoldData fields after
+    # x), and the bad-data verdict on subjects absent from the training rows
+    folds: tuple[tuple[np.ndarray, np.ndarray, tuple, tuple, str | None], ...]
+
+    @classmethod
+    def build(cls, table: FeatureTable, recipe, plan: FoldPlan) -> "_CvSplit":
+        # np.unique's order is sorted(set(ids)), the report's identity_classes.
+        order, subject_idx = np.unique(table.subject_ids, return_inverse=True)
+        class_order = order.tolist()
+        bmi_class = table.bmi_classes() if "bmi_class" in recipe.produces else None
+        n_classes = 0 if bmi_class is None else int(bmi_class.max()) + 1
+
+        def labels(idx: np.ndarray) -> tuple:
+            cols = (table.subject_ids[idx], subject_idx[idx], table.bmi[idx],
+                    None if bmi_class is None else bmi_class[idx])
+            for a in cols:
+                if a is not None:
+                    a.flags.writeable = False  # every run of the split sees these
+            return cols
+
+        folds = []
+        for fold in range(plan.n_folds):
+            tr_idx, te_idx = plan.train_indices(fold), plan.test_indices(fold)
+            train_counts = np.bincount(subject_idx[tr_idx], minlength=len(class_order))
+            missing = [class_order[i] for i in np.flatnonzero(train_counts == 0)]
+            verdict = f"fold {fold}: subjects {missing} absent from training" if missing else None
+            folds.append((tr_idx, te_idx, labels(tr_idx), labels(te_idx), verdict))
+        return cls(class_order, n_classes, tuple(folds))
+
+
+def _run_folds(split: _CvSplit, x: np.ndarray, recipe, seed: int) -> tuple[list[dict], list[dict]]:
+    """Each fold's scores and each failed fold, for the active feature matrix ``x``."""
+    per_fold: list[dict] = []
+    failed: list[dict] = []
+    for fold, (tr_idx, te_idx, tr_labels, te_labels, missing) in enumerate(split.folds):
+        try:
+            if missing:
+                raise ValueError(missing)
+            train, test = FoldData(x[tr_idx], *tr_labels), FoldData(x[te_idx], *te_labels)
+            preds = recipe.run_fold(train, test, seed=seed + fold)
+            scalars, arrays = _fold_scores(preds, test, len(split.class_order), split.n_classes)
+            per_fold.append({"fold": fold, "scalars": scalars, "arrays": arrays})
+        except ValueError as e:  # bad data (LinAlgError included); bugs propagate
+            failed.append({"fold": fold, "error": f"{type(e).__name__}: {e}"})
+            if len(failed) >= 2:
+                raise CVAbortedError(
+                    f"{len(failed)} folds failed; first errors: {failed}"
+                ) from e
+    return per_fold, failed
 
 
 def run_cv(
@@ -315,43 +391,13 @@ def run_cv(
     :class:`CVAbortedError`. Any other exception is a programming error and
     propagates.
     """
-    # np.unique's order is sorted(set(ids)), the report's identity_classes.
-    order, subject_idx = np.unique(table.subject_ids, return_inverse=True)
-    class_order = order.tolist()
-    x = table.active_matrix()
-    bmi_class = table.bmi_classes() if "bmi_class" in recipe.produces else None
-    n_classes = 0 if bmi_class is None else int(bmi_class.max()) + 1
-
-    def rows(idx: np.ndarray) -> FoldData:
-        return FoldData(x=x[idx], subject_ids=table.subject_ids[idx], subject_idx=subject_idx[idx],
-                        bmi=table.bmi[idx], bmi_class=None if bmi_class is None else bmi_class[idx])
-
-    per_fold: list[dict] = []
-    failed: list[dict] = []
-    for fold in range(plan.n_folds):
-        tr_idx = plan.train_indices(fold)
-        te_idx = plan.test_indices(fold)
-        try:
-            train_counts = np.bincount(subject_idx[tr_idx], minlength=len(class_order))
-            missing = [class_order[i] for i in np.flatnonzero(train_counts == 0)]
-            if missing:
-                raise ValueError(f"fold {fold}: subjects {missing} absent from training")
-            train, test = rows(tr_idx), rows(te_idx)
-            preds = recipe.run_fold(train, test, seed=plan.seed + fold)
-            scalars, arrays = _fold_scores(preds, test, len(class_order), n_classes)
-            per_fold.append({"fold": fold, "scalars": scalars, "arrays": arrays})
-        except ValueError as e:  # bad data (LinAlgError included); bugs propagate
-            failed.append({"fold": fold, "error": f"{type(e).__name__}: {e}"})
-            if len(failed) >= 2:
-                raise CVAbortedError(
-                    f"{len(failed)} folds failed; first errors: {failed}"
-                ) from e
-
+    split = _CvSplit.build(table, recipe, plan)
+    per_fold, failed = _run_folds(split, table.active_matrix(), recipe, plan.seed)
     echo = {"recipe": getattr(recipe, "name", type(recipe).__name__), "n_folds": plan.n_folds,
             "seed": plan.seed, "feature_mask": list(table.mask), **(config_echo or {})}
     return EvaluationReport(
         config_echo=echo,
-        identity_classes=class_order,
+        identity_classes=split.class_order,
         per_fold=per_fold,
         aggregate=_aggregate(per_fold),
         failed_folds=failed,
@@ -366,12 +412,18 @@ def drop_column_importance(
     """Metric change when each active feature is removed and the CV rerun.
 
     Positive values mean the feature helps (removing it hurts); negative
-    values are permitted.
+    values are permitted. Every rerun keeps the table's subjects and BMIs, so
+    the fold split, labels and BMI classes are built once per call; each run
+    equals :func:`run_cv` on the table with that feature dropped.
     """
+    split = _CvSplit.build(table, recipe, plan)
+
     def means(t: FeatureTable) -> dict[str, float]:
-        scalars = run_cv(t, recipe, plan).aggregate["scalars"]
-        return {name: scalars[name]["mean"]
-                for name in ("identity_accuracy", "bmi_r2") if name in scalars}
+        # the aggregate's two means, without the rest of the aggregate
+        per_fold, _ = _run_folds(split, t.active_matrix(), recipe, plan.seed)
+        return {name: _fold_values(per_fold, "scalars", name).mean(axis=0).tolist()
+                for name in ("identity_accuracy", "bmi_r2")
+                if any(name in e["scalars"] for e in per_fold)}
 
     full = means(table)
     out: dict[str, dict[str, float]] = {}

@@ -17,6 +17,11 @@ import numpy as np
 from .dataset import Corpus, PressureFrame
 
 
+def _check_odd_window(kind: str, window: int) -> None:
+    if window < 1 or window % 2 == 0:
+        raise ValueError(f"{kind} window must be odd and positive, got {window}")
+
+
 @lru_cache(maxsize=8)
 def _median_plan(rows: int, cols: int, window: int):
     """Tap indices into the flat NaN-padded frame, and the median positions.
@@ -51,8 +56,7 @@ def median_filter(frame: PressureFrame, window: int = 3) -> PressureFrame:
     median is the exact order statistic, taken from one sort of each cell's
     taps in a NaN-padded copy of the frame.
     """
-    if window < 1 or window % 2 == 0:
-        raise ValueError(f"median window must be odd and positive, got {window}")
+    _check_odd_window("median", window)
     if window == 1:
         return frame
 
@@ -67,8 +71,7 @@ def median_filter(frame: PressureFrame, window: int = 3) -> PressureFrame:
 
 def gaussian_kernel(window: int, sigma: float) -> np.ndarray:
     """Discrete Gaussian taps of the given odd length, normalized to sum 1."""
-    if window < 1 or window % 2 == 0:
-        raise ValueError(f"gaussian window must be odd and positive, got {window}")
+    _check_odd_window("gaussian", window)
     if not (sigma > 0):
         raise ValueError(f"sigma must be positive, got {sigma}")
     offsets = np.arange(window, dtype=np.float64) - window // 2
@@ -122,7 +125,12 @@ def denoise_corpus(
     gaussian_window: int = 5,
     gaussian_sigma: float = 1.0,
 ) -> Corpus:
-    """Full pipeline over a corpus: median first, temporal Gaussian second."""
+    """Full pipeline over a corpus: median first, temporal Gaussian second.
+
+    Both windows and the sigma are checked before the first frame is filtered.
+    """
+    _check_odd_window("median", median_window)
+    gaussian_kernel(gaussian_window, gaussian_sigma)
     filtered = [median_filter(f, median_window) for f in corpus.frames]
     out: list[PressureFrame] = []
     for session in split_sessions(filtered):

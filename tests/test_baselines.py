@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pressmat.baselines import (
     _pairwise_distances,
@@ -13,6 +14,7 @@ from pressmat.baselines import (
     knn_classify_batch,
     linreg_fit,
     linreg_predict,
+    zscore_fit,
 )
 from pressmat.dataset import GridSpec
 from pressmat.synthgen import NoiseSpec, generate_corpus
@@ -41,6 +43,21 @@ def oracle_knn(train_x, train_y, query, k, metric):
     votes = Counter(train_y[i] for _, i in dists[:k])
     top = max(votes.values())
     return min(c for c, n in votes.items() if n == top)
+
+
+class TestZscoreFit:
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=30),
+                      elements=st.floats(-1e6, 1e6)),
+           st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_numpy_mean_and_std_bit_for_bit(self, x, data):
+        constant = data.draw(st.lists(st.booleans(), min_size=x.shape[1], max_size=x.shape[1]))
+        x[:, constant] = x[0, constant]
+        mean, std = zscore_fit(x)
+        want = x.std(axis=0)
+        want = np.where(want < 1e-12, 1.0, want)
+        assert mean.tobytes() == x.mean(axis=0).tobytes()
+        assert std.tobytes() == want.tobytes()
 
 
 class TestKnn:

@@ -5,10 +5,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pressmat import baselines, features
 from pressmat.cli import main as cli_main
 from pressmat.evalharness import (
+    CVAbortedError,
     EvaluationReport,
     GnbRecipe,
     KnnRecipe,
@@ -148,6 +150,28 @@ class TestMetrics:
     def test_unpaired_inputs_rejected(self, name, pred, truth):
         with pytest.raises(ValueError, match=f"^{name} needs equal non-zero-length inputs$"):
             self.PAIRED_METRICS[name](pred, truth)
+
+    @pytest.mark.parametrize("truth, pred", [([0, 1], [0, -1]), ([0, 1], [0, 2]),
+                                             ([-1, 1], [0, 1]), ([2, 1], [0, 1])],
+                             ids=["pred-negative", "pred-too-large",
+                                  "truth-negative", "truth-too-large"])
+    def test_confusion_rejects_labels_outside_the_classes(self, truth, pred):
+        with pytest.raises(IndexError, match=r"labels must lie in 0\.\.1"):
+            confusion_matrix(truth, pred, 2)
+        with pytest.raises(IndexError):
+            per_class_prf(truth, pred, 2)
+
+    @given(st.integers(1, 6).flatmap(lambda c: st.tuples(
+        st.just(c), st.lists(st.tuples(st.integers(0, c - 1), st.integers(0, c - 1)),
+                             min_size=1, max_size=60))))
+    @settings(max_examples=200, deadline=None)
+    def test_confusion_matches_add_at_oracle(self, case):
+        n_classes, pairs = case
+        truth, pred = (np.array(col) for col in zip(*pairs))
+        want = np.zeros((n_classes, n_classes), dtype=int)
+        np.add.at(want, (truth, pred), 1)
+        got = confusion_matrix(truth, pred, n_classes)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestRunCv:
@@ -315,6 +339,18 @@ class TestFoldFailures:
         with pytest.raises(TypeError, match="synthetic bug"):
             run_cv(table, BuggyRecipe(set()), plan)
 
+    def test_label_outside_the_classes_propagates(self):
+        class NamesNoSubject(self.FlakyRecipe):
+            produces = ("identity",)
+
+            def run_fold(self, train, test, seed):
+                return {"identity_pred_idx": np.full(len(test.x), -1)}
+
+        table = synthetic_table(n_subjects=3, frames=20, seed=23)
+        plan = make_folds(table.subject_ids, n_folds=4, seed=0)
+        with pytest.raises(IndexError, match="prediction -1"):
+            run_cv(table, NamesNoSubject(set()), plan)
+
 
 
 # What each entry of a recipe's ``produces`` puts in the aggregate: scalars,
@@ -460,12 +496,37 @@ class TestSharedClassMaps:
         monkeypatch.setattr(baselines, "build_bmi_classes", counting)
         return calls
 
-    @pytest.mark.parametrize("recipe", [KnnRecipe(k=3), GnbRecipe()], ids=["knn", "gnb"])
-    def test_matches_runs_that_share_nothing(self, recipe):
+    class SeedRecorder:
+        """Passes folds to a recipe and records each fold's seed."""
+
+        def __init__(self, inner):
+            self.inner = inner
+            self.name, self.produces = inner.name, inner.produces
+            self.seeds = []
+
+        def run_fold(self, train, test, seed):
+            self.seeds.append(seed)
+            return self.inner.run_fold(train, test, seed)
+
+    @pytest.mark.parametrize("recipe", [KnnRecipe(k=3), GnbRecipe(), LinregRecipe()],
+                             ids=["knn", "gnb", "linreg"])
+    @pytest.mark.parametrize("lacking", [False, True], ids=["all-subjects", "fold-lacks-one"])
+    def test_matches_runs_that_share_nothing(self, recipe, lacking):
         table = synthetic_table(n_subjects=5, frames=20, seed=31).with_feature_dropped(9)
         plan = make_folds(table.subject_ids, n_folds=4, seed=2)
-        shared = drop_column_importance(table, recipe, plan)
-        assert shared == importance_without_sharing(table, recipe, plan)
+        if lacking:  # every S00 row is tested in fold 1, so fold 1 trains without S00
+            plan = dataclasses.replace(plan, assignment=np.where(
+                table.subject_ids == "S00", 1, plan.assignment))
+        runs = 1 + len(table.active_indices)
+        reports = [run_cv(t, recipe, plan) for t in
+                   [table] + [table.with_feature_dropped(int(j)) for j in table.active_indices]]
+        assert all([f["fold"] for f in r.failed_folds] == ([1] if lacking else [])
+                   for r in reports)
+        recorder = self.SeedRecorder(recipe)
+        shared = drop_column_importance(table, recorder, plan)
+        assert json.dumps(shared) == json.dumps(importance_without_sharing(table, recipe, plan))
+        folds_run = [f for f in range(plan.n_folds) if not (lacking and f == 1)]
+        assert recorder.seeds == [plan.seed + f for f in folds_run] * runs
 
     def test_one_build_per_run_cv(self, build_calls):
         table = synthetic_table(n_subjects=4, frames=20, seed=32)
@@ -474,7 +535,7 @@ class TestSharedClassMaps:
         assert build_calls == [None]
         build_calls.clear()
         drop_column_importance(table, KnnRecipe(k=3), plan)
-        assert build_calls == [None] * (1 + len(table.active_indices))
+        assert build_calls == [None]  # one split serves every drop-column run
 
     def test_least_squares_builds_no_classes(self, build_calls):
         table = synthetic_table(n_subjects=4, frames=20, seed=33)
@@ -493,6 +554,17 @@ class TestSharedClassMaps:
             drop_column_importance(table, KnnRecipe(k=3), plan)
         assert str(alone.value) == "insufficient diversity: 4 distinct BMI values for 5 classes"
         assert str(shared.value) == str(alone.value)
+
+    def test_shared_labels_cannot_be_written(self):
+        class Scribbler(LinregRecipe):
+            def run_fold(self, train, test, seed):
+                train.bmi[:] = 0.0  # would corrupt every later run of the split
+                return super().run_fold(train, test, seed)
+
+        table = synthetic_table(n_subjects=4, frames=20, seed=34)
+        plan = make_folds(table.subject_ids, n_folds=5, seed=0)
+        with pytest.raises(CVAbortedError, match="read-only"):
+            drop_column_importance(table, Scribbler(), plan)
 
 
 class TestClassesOnlyWhenUsed:

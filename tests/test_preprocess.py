@@ -1,10 +1,12 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+from pressmat import preprocess
 from pressmat.preprocess import (
     denoise_corpus,
     gaussian_kernel,
@@ -249,6 +251,33 @@ class TestCorpusPipeline:
         want = [[f.key for f in run] for run in split_sessions_oracle(frames)]
         assert got == want
         assert [k for run in got for k in run] == keys
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"median_window": 4}, "median window must be odd"),
+        ({"gaussian_window": 4}, "gaussian window must be odd"),
+        ({"gaussian_sigma": -1.0}, "sigma must be positive"),
+    ], ids=["median-window", "gaussian-window", "sigma"])
+    def test_settings_checked_before_any_filtering(self, tiny_corpus, monkeypatch, bad, message):
+        calls = []
+
+        def counting(frame, window=3):
+            calls.append(frame.key)
+            return median_filter(frame, window)
+
+        monkeypatch.setattr(preprocess, "median_filter", counting)
+        with pytest.raises(ValueError, match=message):
+            denoise_corpus(tiny_corpus, **bad)
+        assert calls == []
+        denoise_corpus(tiny_corpus)
+        assert len(calls) == len(tiny_corpus.frames)  # the counter sees the filtering
+
+    def test_empty_corpus_settings_checked(self, tiny_corpus):
+        empty = replace(tiny_corpus, frames=())
+        with pytest.raises(ValueError, match="gaussian window must be odd"):
+            denoise_corpus(empty, gaussian_window=4, gaussian_sigma=-1.0)
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            denoise_corpus(empty, gaussian_sigma=-1.0)
+        assert denoise_corpus(empty).frames == ()
 
     def test_denoise_corpus_keeps_shape(self, synth_corpus):
         out = denoise_corpus(synth_corpus)
