@@ -30,8 +30,12 @@ def _pairwise_distances(queries: np.ndarray, train: np.ndarray, metric: str) -> 
     q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     t = np.asarray(train, dtype=np.float64)
     if metric == "euclidean":
-        d2 = (q * q).sum(1)[:, None] + (t * t).sum(1)[None, :] - 2.0 * (q @ t.T)
-        return np.sqrt(np.maximum(d2, 0.0))
+        # (q.q + t.t) - 2 q.t, each step in place; the order keeps the bits
+        cross = q @ t.T
+        cross *= 2.0
+        d = (q * q).sum(1)[:, None] + (t * t).sum(1)[None, :]
+        d -= cross
+        return np.sqrt(np.maximum(d, 0.0, out=d), out=d)
     if metric == "cosine":
         qn = np.linalg.norm(q, axis=1)
         tn = np.linalg.norm(t, axis=1)

@@ -11,7 +11,9 @@ the classes once for all its runs, which differ only in their features.
 Each completed fold's metrics are its ``per_fold`` record, and the aggregate
 is computed from those records alone: mean and sample (n-1) standard
 deviation of every scalar and of the identity precision/recall/F1 arrays,
-and confusion matrices summed over the folds.
+and confusion matrices summed over the folds. Every fold's predictions are
+checked once before they are scored, so importance, which scores only the
+two means it reports, fails on a recipe bug exactly as a full run does.
 """
 
 import dataclasses
@@ -266,13 +268,40 @@ class EvaluationReport:
         atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def _checked_predictions(preds: dict, n_rows: int, n_subjects: int, n_classes: int) -> dict:
+    """A recipe's predictions as arrays, once they fit the fold's test rows.
+
+    A prediction without one entry per test row is bad data and raises
+    ValueError; a class id outside the classes is a recipe bug and raises
+    IndexError. Keys are checked in scoring order, so the first fault wins.
+    """
+    checked = {}
+    for key, dtype, n_ids in (("identity_pred_idx", int, n_subjects),
+                              ("bmi_pred", np.float64, None),
+                              ("bmi_class_pred", int, n_classes)):
+        if key not in preds:
+            continue
+        pred = np.asarray(preds[key], dtype=dtype)
+        if pred.shape != (n_rows,):
+            raise ValueError(f"{key} needs one entry per test row: shape {pred.shape} "
+                             f"for {n_rows} rows")
+        if n_ids is not None:
+            bad = (pred < 0) | (pred >= n_ids)
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise IndexError(f"{key} must lie in 0..{n_ids - 1}; "
+                                 f"row {i} has prediction {pred[i]}")
+        checked[key] = pred
+    return checked
+
+
 def _fold_scores(preds: dict, test: FoldData, n_subjects: int,
                  n_classes: int) -> tuple[dict, dict]:
-    """One fold's scalar metrics and per-class arrays from its predictions."""
+    """One fold's scalar metrics and per-class arrays from its checked predictions."""
     scalars: dict[str, float] = {}
     arrays: dict[str, list] = {}
     if "identity_pred_idx" in preds:
-        pred_idx = np.asarray(preds["identity_pred_idx"], dtype=int)
+        pred_idx = preds["identity_pred_idx"]
         scalars["identity_accuracy"] = accuracy(pred_idx, test.subject_idx)
         prf = per_class_prf(test.subject_idx, pred_idx, n_subjects)
         for part in ("precision", "recall", "f1"):
@@ -283,11 +312,23 @@ def _fold_scores(preds: dict, test: FoldData, n_subjects: int,
         scalars["bmi_r2"] = r2(preds["bmi_pred"], test.bmi)
         scalars["bmi_rmse"] = rmse(preds["bmi_pred"], test.bmi)
     if "bmi_class_pred" in preds:
-        cls_pred = np.asarray(preds["bmi_class_pred"], dtype=int)
+        cls_pred = preds["bmi_class_pred"]
         scalars["bmi_class_accuracy"] = accuracy(cls_pred, test.bmi_class)
         cm = confusion_matrix(test.bmi_class, cls_pred, n_classes)
         arrays["bmi_class_confusion"] = cm.tolist()
     return scalars, arrays
+
+
+def _importance_scores(preds: dict, test: FoldData, n_subjects: int,
+                       n_classes: int) -> tuple[dict, dict]:
+    """The two scalars drop-column importance reports, as :func:`_fold_scores`
+    computes them, and no arrays."""
+    scalars = {}
+    if "identity_pred_idx" in preds:
+        scalars["identity_accuracy"] = accuracy(preds["identity_pred_idx"], test.subject_idx)
+    if "bmi_pred" in preds:
+        scalars["bmi_r2"] = r2(preds["bmi_pred"], test.bmi)
+    return scalars, {}
 
 
 def _fold_values(per_fold: list[dict], kind: str, name: str) -> np.ndarray:
@@ -354,8 +395,15 @@ class _CvSplit:
         return cls(class_order, n_classes, tuple(folds))
 
 
-def _run_folds(split: _CvSplit, x: np.ndarray, recipe, seed: int) -> tuple[list[dict], list[dict]]:
-    """Each fold's scores and each failed fold, for the active feature matrix ``x``."""
+def _run_folds(split: _CvSplit, x: np.ndarray, recipe, seed: int,
+               score) -> tuple[list[dict], list[dict]]:
+    """Each fold's scores and each failed fold, for the active feature matrix ``x``.
+
+    ``score`` (:func:`_fold_scores` or :func:`_importance_scores`) sees the
+    predictions :func:`_checked_predictions` passed, so a malformed one
+    raises the same error whatever is scored.
+    """
+    n_subjects = len(split.class_order)
     per_fold: list[dict] = []
     failed: list[dict] = []
     for fold, (tr_idx, te_idx, tr_labels, te_labels, missing) in enumerate(split.folds):
@@ -364,7 +412,8 @@ def _run_folds(split: _CvSplit, x: np.ndarray, recipe, seed: int) -> tuple[list[
                 raise ValueError(missing)
             train, test = FoldData(x[tr_idx], *tr_labels), FoldData(x[te_idx], *te_labels)
             preds = recipe.run_fold(train, test, seed=seed + fold)
-            scalars, arrays = _fold_scores(preds, test, len(split.class_order), split.n_classes)
+            preds = _checked_predictions(preds, len(te_idx), n_subjects, split.n_classes)
+            scalars, arrays = score(preds, test, n_subjects, split.n_classes)
             per_fold.append({"fold": fold, "scalars": scalars, "arrays": arrays})
         except ValueError as e:  # bad data (LinAlgError included); bugs propagate
             failed.append({"fold": fold, "error": f"{type(e).__name__}: {e}"})
@@ -392,7 +441,7 @@ def run_cv(
     propagates.
     """
     split = _CvSplit.build(table, recipe, plan)
-    per_fold, failed = _run_folds(split, table.active_matrix(), recipe, plan.seed)
+    per_fold, failed = _run_folds(split, table.active_matrix(), recipe, plan.seed, _fold_scores)
     echo = {"recipe": getattr(recipe, "name", type(recipe).__name__), "n_folds": plan.n_folds,
             "seed": plan.seed, "feature_mask": list(table.mask), **(config_echo or {})}
     return EvaluationReport(
@@ -413,17 +462,16 @@ def drop_column_importance(
 
     Positive values mean the feature helps (removing it hurts); negative
     values are permitted. Every rerun keeps the table's subjects and BMIs, so
-    the fold split, labels and BMI classes are built once per call; each run
-    equals :func:`run_cv` on the table with that feature dropped.
+    the fold split, labels and BMI classes are built once per call. Each run
+    scores only the identity-accuracy and BMI R² means it reports, equal to
+    those of :func:`run_cv` on the table with that feature dropped; a
+    malformed prediction raises the error :func:`run_cv` raises.
     """
     split = _CvSplit.build(table, recipe, plan)
 
     def means(t: FeatureTable) -> dict[str, float]:
-        # the aggregate's two means, without the rest of the aggregate
-        per_fold, _ = _run_folds(split, t.active_matrix(), recipe, plan.seed)
-        return {name: _fold_values(per_fold, "scalars", name).mean(axis=0).tolist()
-                for name in ("identity_accuracy", "bmi_r2")
-                if any(name in e["scalars"] for e in per_fold)}
+        per_fold, _ = _run_folds(split, t.active_matrix(), recipe, plan.seed, _importance_scores)
+        return {name: s["mean"] for name, s in _aggregate(per_fold)["scalars"].items()}
 
     full = means(table)
     out: dict[str, dict[str, float]] = {}

@@ -209,7 +209,8 @@ def _batch_loss_grad(theta, dims, xn, y_idx, bmi, weight_decay):
         dz = dh
         np.matmul(hs[k].T, dz, out=grad_w[k])
         np.sum(dz, axis=0, out=grad_b[k])
-        dh = dz @ weights[k].T
+        if k:  # no gradient is taken with respect to the input
+            dh = dz @ weights[k].T
 
     # The weights lead the flat layout, so the L2 term is one pass over them.
     n_weights = sum(fan_in * fan_out for fan_in, fan_out in dims)

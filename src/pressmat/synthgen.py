@@ -16,7 +16,6 @@ from .dataset import Corpus, GridSpec, PressureFrame, SubjectRecord
 
 POSTURE_IDS = {"supine": 1, "right": 2, "left": 3}
 
-BLOB_NAMES = ("head", "torso", "pelvis", "left_leg", "right_leg")
 # Fraction of body weight carried by each blob; sums to 1 so the total
 # rendered amplitude stays linear in weight_kg.
 MASS_FRACTIONS = np.array([0.08, 0.43, 0.33, 0.08, 0.08])

@@ -245,6 +245,37 @@ class TestKnnSelection:
             knn_classify_batch(x, np.array([0, 1]), [[np.inf, 1.0]], k=1)
 
 
+def one_line_euclidean(queries, train):
+    """The euclidean distances as one expression, the in-place code's oracle."""
+    q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    t = np.asarray(train, dtype=np.float64)
+    d2 = (q * q).sum(1)[:, None] + (t * t).sum(1)[None, :] - 2.0 * (q @ t.T)
+    return np.sqrt(np.maximum(d2, 0.0))
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+class TestEuclideanDistances:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_the_one_line_expression_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        n_query, n_train, n_feat = rng.integers(1, 50, size=3)
+        t = rng.normal(size=(n_train, n_feat)) * rng.uniform(0.01, 100.0)
+        # queries that repeat training rows land near distance 0, where the
+        # expanded square can round below zero
+        q = np.vstack([rng.normal(size=(n_query, n_feat)), t[:3]])
+        assert_same_bits(_pairwise_distances(q, t, "euclidean"), one_line_euclidean(q, t))
+
+    @given(tied_knn_case())
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_one_line_expression_on_tied_grids(self, case):
+        x, _, q, _, _ = case
+        assert_same_bits(_pairwise_distances(q, x, "euclidean"), one_line_euclidean(q, x))
+
+
 class TestGnb:
     def test_separable_perfect(self):
         rng = np.random.default_rng(2)

@@ -339,18 +339,57 @@ class TestFoldFailures:
         with pytest.raises(TypeError, match="synthetic bug"):
             run_cv(table, BuggyRecipe(set()), plan)
 
-    def test_label_outside_the_classes_propagates(self):
-        class NamesNoSubject(self.FlakyRecipe):
-            produces = ("identity",)
+    class Misreports:
+        """Right on every fold but for one bug in what it returns."""
 
-            def run_fold(self, train, test, seed):
-                return {"identity_pred_idx": np.full(len(test.x), -1)}
+        name = "misreports"
+        produces = ("identity", "bmi", "bmi_class")
 
+        def __init__(self, bug):
+            self.bug = bug
+
+        def run_fold(self, train, test, seed):
+            return self.bug({"identity_pred_idx": test.subject_idx,
+                             "bmi_pred": test.bmi + 0.1,
+                             "bmi_class_pred": test.bmi_class})
+
+    # Importance scores neither the BMI classes nor BMI RMSE, yet a bad class
+    # id or a short prediction must fail it exactly as it fails a full run.
+    @pytest.mark.parametrize("path", [run_cv, drop_column_importance],
+                             ids=["run_cv", "drop_column_importance"])
+    @pytest.mark.parametrize("bug, error, match", [
+        (lambda p: {**p, "identity_pred_idx": np.full(len(p["identity_pred_idx"]), -1)},
+         IndexError, r"row 0 has .*prediction -1"),
+        # three subjects, so three BMI classes, 0..2
+        (lambda p: {**p, "bmi_class_pred": np.r_[p["bmi_class_pred"][:1], 3,
+                                                 p["bmi_class_pred"][2:]]},
+         IndexError, r"row 1 has .*prediction 3"),
+        (lambda p: {**p, "bmi_class_pred": p["bmi_class_pred"][:-1]},
+         CVAbortedError, "2 folds failed"),
+        (lambda p: {**p, "bmi_pred": p["bmi_pred"][:-1]}, CVAbortedError, "2 folds failed"),
+    ], ids=["identity-id-minus-one", "class-id-equal-to-the-class-count",
+            "bmi-class-one-row-short", "bmi-one-row-short"])
+    def test_label_outside_the_classes_propagates(self, path, bug, error, match):
         table = synthetic_table(n_subjects=3, frames=20, seed=23)
         plan = make_folds(table.subject_ids, n_folds=4, seed=0)
-        with pytest.raises(IndexError, match="prediction -1"):
-            run_cv(table, NamesNoSubject(set()), plan)
+        with pytest.raises(error, match=match) as full_run:
+            run_cv(table, self.Misreports(bug), plan)
+        with pytest.raises(error) as raised:
+            path(table, self.Misreports(bug), plan)
+        assert str(raised.value) == str(full_run.value)
 
+    def test_prediction_of_the_wrong_shape_fails_the_fold(self):
+        class ColumnOnFold1(self.FlakyRecipe):
+            def run_fold(self, train, test, seed):
+                pred = super().run_fold(train, test, seed)["bmi_pred"]
+                return {"bmi_pred": pred[:, None] if self.calls == 2 else pred}
+
+        table = synthetic_table(n_subjects=3, frames=20, seed=24)
+        plan = make_folds(table.subject_ids, n_folds=4, seed=0)
+        report = run_cv(table, ColumnOnFold1(set()), plan)
+        assert [f["fold"] for f in report.failed_folds] == [1]
+        assert "bmi_pred needs one entry per test row" in report.failed_folds[0]["error"]
+        assert [e["fold"] for e in report.per_fold] == [0, 2, 3]
 
 
 # What each entry of a recipe's ``produces`` puts in the aggregate: scalars,
