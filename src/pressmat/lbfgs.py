@@ -58,16 +58,18 @@ def _cubic_minimizer(a, fa, ga, b, fb, gb):
 def strong_wolfe(fun, x, f0, g0, direction, alpha0=1.0):
     """Line search satisfying the strong Wolfe conditions.
 
-    Returns ``(alpha, f, g, n_evals)``; ``alpha`` is None when no acceptable
+    Returns ``(alpha, x_new, f, g, n_evals)``, ``x_new = x + alpha * direction``
+    the accepted point; ``alpha`` and ``x_new`` are None when no acceptable
     step was found within the evaluation budget.
     """
     dphi0 = float(g0 @ direction)
     if dphi0 >= 0:
-        return None, f0, g0, 0
+        return None, None, f0, g0, 0
 
     def phi(alpha):
-        f, g = fun(x + alpha * direction)
-        return f, g, float(g @ direction)
+        x_new = x + alpha * direction
+        f, g = fun(x_new)
+        return x_new, f, g, float(g @ direction)
 
     evals = 0
 
@@ -79,52 +81,51 @@ def strong_wolfe(fun, x, f0, g0, direction, alpha0=1.0):
             span = hi_b - lo_b
             if alpha is None or not (lo_b + 0.1 * span <= alpha <= hi_b - 0.1 * span):
                 alpha = 0.5 * (lo + hi)
-            f, g, d = phi(alpha)
+            x_new, f, g, d = phi(alpha)
             evals += 1
             if f > f0 + WOLFE_C1 * alpha * dphi0 or f >= f_lo:
                 hi, f_hi, d_hi = alpha, f, d
             else:
                 if abs(d) <= -WOLFE_C2 * dphi0:
-                    return alpha, f, g
+                    return alpha, x_new, f, g
                 if d * (hi - lo) >= 0:
                     hi, f_hi, d_hi = lo, f_lo, d_lo
                 lo, f_lo, d_lo = alpha, f, d
             if abs(hi - lo) < 1e-16 * max(1.0, abs(hi)):
                 break
-        return None, None, None
+        return None, None, f0, g0
 
     alpha_prev, f_prev, d_prev = 0.0, f0, dphi0
     alpha = alpha0
     for i in range(WOLFE_MAX_EVALS):
-        f, g, d = phi(alpha)
+        x_new, f, g, d = phi(alpha)
         evals += 1
         if f > f0 + WOLFE_C1 * alpha * dphi0 or (i > 0 and f >= f_prev):
-            a, fv, gv = zoom(alpha_prev, f_prev, d_prev, alpha, f, d)
-            return (a, fv, gv, evals) if a is not None else (None, f0, g0, evals)
+            return (*zoom(alpha_prev, f_prev, d_prev, alpha, f, d), evals)
         if abs(d) <= -WOLFE_C2 * dphi0:
-            return alpha, f, g, evals
+            return alpha, x_new, f, g, evals
         if d >= 0:
-            a, fv, gv = zoom(alpha, f, d, alpha_prev, f_prev, d_prev)
-            return (a, fv, gv, evals) if a is not None else (None, f0, g0, evals)
+            return (*zoom(alpha, f, d, alpha_prev, f_prev, d_prev), evals)
         alpha_prev, f_prev, d_prev = alpha, f, d
         alpha = 2.0 * alpha
-    return None, f0, g0, evals
+    return None, None, f0, g0, evals
 
 
 def _backtrack(fun, x, f0, g0, direction):
-    """Armijo backtracking; returns (alpha, f, g, n_evals) or alpha None."""
+    """Armijo backtracking; returns (alpha, x_new, f, g, n_evals) like strong_wolfe."""
     dphi0 = float(g0 @ direction)
     if dphi0 >= 0:
-        return None, f0, g0, 0
+        return None, None, f0, g0, 0
     alpha = 1.0 / max(1.0, float(np.abs(g0).max()))
     evals = 0
     for _ in range(BACKTRACK_MAX_EVALS):
-        f, g = fun(x + alpha * direction)
+        x_new = x + alpha * direction
+        f, g = fun(x_new)
         evals += 1
         if f <= f0 + WOLFE_C1 * alpha * dphi0:
-            return alpha, f, g, evals
+            return alpha, x_new, f, g, evals
         alpha *= 0.5
-    return None, f0, g0, evals
+    return None, None, f0, g0, evals
 
 
 class _Pairs:
@@ -237,22 +238,20 @@ def minimize_lbfgs(fun, x0, max_iterations, memory=10, grad_tol=1e-6,
             pairs.reset()
 
         alpha0 = 1.0 if pairs.count else min(1.0, 1.0 / max(1.0, float(np.abs(g).sum())))
-        alpha, f_new, g_new, n_ev = strong_wolfe(fun, x, f, g, direction, alpha0)
+        _, x_new, f_new, g_new, n_ev = strong_wolfe(fun, x, f, g, direction, alpha0)
         evals += n_ev
-        if alpha is None:
+        if x_new is None:
             failures += 1
             log.warning("lbfgs: Wolfe search failed at iteration %d; "
                         "falling back to backtracking steepest descent", it)
-            direction = -g
-            alpha, f_new, g_new, n_ev = _backtrack(fun, x, f, g, direction)
+            _, x_new, f_new, g_new, n_ev = _backtrack(fun, x, f, g, -g)
             evals += n_ev
-            if alpha is None:
+            if x_new is None:
                 stop = "stalled"
                 it -= 1
                 break
             pairs.reset()
 
-        x_new = x + alpha * direction
         pairs.add(x_new, x, g_new, g)
 
         rel = abs(f - f_new) / max(abs(f), abs(f_new), 1.0)

@@ -199,7 +199,7 @@ def _batch_loss_grad(theta, dims, xn, y_idx, bmi, weight_decay):
     np.matmul(h.T, dbhat, out=grad_w[-1])
     np.sum(dbhat, axis=0, out=grad_b[-1])
 
-    dh = dlogits @ weights[-2].T + dbhat @ weights[-1].T
+    dh = dlogits @ weights[-2].T + dbhat * weights[-1].T  # the BMI head has one output
     for k in range(len(HIDDEN_SIZES) - 1, -1, -1):
         h_k = hs[k + 1]
         # dz = dh * (1 - h^2), built in place (h_k is not needed afterwards)
@@ -312,7 +312,7 @@ def fit_bmi_class_head(
         w = theta[: d * n_classes].reshape(d, n_classes)
         b = theta[d * n_classes:]
         ce, dlogits = _cross_entropy(h @ w + b, labels)
-        loss = ce + WEIGHT_DECAY * float((w * w).sum())
+        loss = ce + _decay_term([w], WEIGHT_DECAY)
         gw = h.T @ dlogits + 2.0 * WEIGHT_DECAY * w
         gb = dlogits.sum(axis=0)
         return loss, np.concatenate([gw.ravel(), gb])

@@ -122,16 +122,17 @@ class TestStrongWolfe:
         fun = quadratic(np.eye(2), np.zeros(2))
         x = np.array([1.0, 1.0])
         f0, g0 = fun(x)
-        alpha, f, g, _ = strong_wolfe(fun, x, f0, g0, -g0)
+        alpha, x_new, f, g, _ = strong_wolfe(fun, x, f0, g0, -g0)
         assert alpha is not None
         assert f < f0
+        np.testing.assert_array_equal(x_new, x + alpha * -g0)
 
     def test_rejects_ascent_direction(self):
         fun = quadratic(np.eye(2), np.zeros(2))
         x = np.array([1.0, 0.0])
         f0, g0 = fun(x)
-        alpha, *_ = strong_wolfe(fun, x, f0, g0, +g0)
-        assert alpha is None
+        alpha, x_new, *_ = strong_wolfe(fun, x, f0, g0, +g0)
+        assert alpha is None and x_new is None
 
     def test_wolfe_conditions_hold(self):
         rng = np.random.default_rng(0)
@@ -140,11 +141,15 @@ class TestStrongWolfe:
         x = rng.normal(size=5)
         f0, g0 = fun(x)
         d = -g0
-        alpha, f, g, _ = strong_wolfe(fun, x, f0, g0, d)
+        alpha, x_new, f, g, _ = strong_wolfe(fun, x, f0, g0, d)
         assert alpha is not None
         dphi0 = g0 @ d
         assert f <= f0 + 1e-4 * alpha * dphi0 + 1e-12
         assert abs(g @ d) <= 0.9 * abs(dphi0) + 1e-12
+        # f and g belong to the returned point, the one that was evaluated
+        np.testing.assert_array_equal(x_new, x + alpha * d)
+        f_new, g_new = fun(x_new)
+        assert f == f_new and np.array_equal(g, g_new)
 
 
 class TestLbfgs:
