@@ -2,9 +2,9 @@
 
 The trunk is five dense layers (64, 128, 256, 256, 256) with tanh; the
 identity head is softmax over the training subjects, the BMI head a single
-affine unit. Training minimizes the mean of per-sample cross-entropy plus
-half-squared BMI error, with an L2 penalty on weight matrices (biases
-excluded), by full-batch L-BFGS.
+affine unit. Training minimizes the mean of per-sample cross-entropy (exact,
+with no floor on small probabilities) plus half-squared BMI error, with an
+L2 penalty on weight matrices (biases excluded), by full-batch L-BFGS.
 
 Inputs are z-scored per feature with statistics fit on the training data and
 stored in the model; an extra multinomial logistic head over the fifth-layer
@@ -25,7 +25,6 @@ WEIGHT_DECAY = 1e-4  # L2 coefficient on weight matrices, trunk and class head a
 LBFGS_MEMORY = 10
 GRAD_TOL = 1e-6      # gradient max-norm stop, trunk and class head
 LOSS_TOL = 1e-10     # relative loss-change stop of the trunk fit
-LOG_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -159,13 +158,14 @@ def hidden_activations(model: MultitaskModel, features: np.ndarray) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean softmax cross-entropy against integer labels, and its logit gradient.
+    """Exact mean softmax cross-entropy against integer labels, and its logit gradient.
 
-    Log-probabilities are floored at log(LOG_EPS).
+    The stable log-softmax needs no floor: a label at log-probability -800
+    costs 800, and the gradient is the derivative of the returned loss.
     """
     n = logits.shape[0]
     rows = np.arange(n)
-    logp = np.maximum(_softmax_log(logits), math.log(LOG_EPS))
+    logp = _softmax_log(logits)
     dlogits = np.exp(logp)
     dlogits[rows, labels] -= 1.0
     dlogits /= n

@@ -155,7 +155,7 @@ def test_criterion_1_feature_oracles():
     assert elapsed < 10.0, f"criterion 1 took {elapsed:.1f}s (budget 10s)"
     _report(1, f"12 statistical features match the brute-force oracle on 500 "
                f"random frames (<=1e-9); contour features exact on 20 hand "
-               f"frames ({elapsed:.1f}s)")
+               f"frames ({elapsed:.1f}s, {10.0 - elapsed:.1f}s inside the 10s budget)")
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +193,8 @@ def test_criterion_2_gradient_matches_finite_differences():
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"criterion 2 took {elapsed:.1f}s (budget 5s)"
     _report(2, f"analytic gradient vs central differences: worst relative "
-               f"error {worst:.2e} over 50 coordinates ({elapsed:.1f}s)")
+               f"error {worst:.2e} over 50 coordinates, {1e-4 - worst:.2e} under "
+               f"the 1e-4 bound ({elapsed:.1f}s, {5.0 - elapsed:.1f}s inside the 5s budget)")
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +227,9 @@ def test_criterion_3_synthetic_end_to_end():
     elapsed = time.perf_counter() - start
     assert elapsed < 600.0, f"criterion 3 took {elapsed:.0f}s (budget 600s)"
     _report(3, f"synthetic 8x200 pipeline, 10-fold mtnet (cap 500): identity "
-               f"accuracy {acc:.4f}, BMI R^2 {bmi_r2:.4f} ({elapsed:.0f}s)")
+               f"accuracy {acc:.4f} ({acc - 0.90:+.4f} over 0.90), BMI R^2 "
+               f"{bmi_r2:.4f} ({bmi_r2 - 0.90:+.4f} over 0.90) ({elapsed:.0f}s, "
+               f"{600.0 - elapsed:.0f}s inside the 600s budget)")
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +261,12 @@ def test_criterion_4_pmatdata_multitask():
     assert bmi_r2 >= 0.95 - concession
     assert bmi_rmse <= 1.0
     assert cls_acc >= 0.96 - concession
-    _report(4, f"PmatData mtnet (cap {max_iter}): identity {acc:.4f}, "
-               f"R^2 {bmi_r2:.4f}, RMSE {bmi_rmse:.3f}, 5-class {cls_acc:.4f}")
+    _report(4, f"PmatData mtnet (cap {max_iter}): identity {acc:.4f} "
+               f"({acc - (0.96 - concession):+.4f}), R^2 {bmi_r2:.4f} "
+               f"({bmi_r2 - (0.95 - concession):+.4f}), RMSE {bmi_rmse:.3f} "
+               f"({1.0 - bmi_rmse:+.3f} under 1.0), 5-class {cls_acc:.4f} "
+               f"({cls_acc - (0.96 - concession):+.4f}); margins over the bounds "
+               f"after a {concession:.2f} concession")
 
 
 def test_criterion_5_pmatdata_baselines():
@@ -271,8 +278,9 @@ def test_criterion_5_pmatdata_baselines():
     gnb_acc = gnb_report.aggregate["scalars"]["identity_accuracy"]["mean"]
     assert knn_acc >= 0.94
     assert knn_acc - gnb_acc >= 0.30
-    _report(5, f"PmatData baselines: kNN {knn_acc:.4f}, NB {gnb_acc:.4f} "
-               f"(ordering gap {knn_acc - gnb_acc:.2f})")
+    _report(5, f"PmatData baselines: kNN {knn_acc:.4f} ({knn_acc - 0.94:+.4f} over "
+               f"0.94), NB {gnb_acc:.4f} (ordering gap {knn_acc - gnb_acc:.2f}, "
+               f"{knn_acc - gnb_acc - 0.30:+.2f} over 0.30)")
 
 
 # ---------------------------------------------------------------------------

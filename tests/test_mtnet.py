@@ -19,8 +19,8 @@ from pressmat.mtnet import (
 
 
 def loss_subject(probs: np.ndarray, true_identity: int) -> float:
-    """Per-sample cross-entropy on a one-hot target: -log p[target], floored."""
-    return -math.log(max(float(probs[true_identity]), mtnet.LOG_EPS))
+    """Per-sample cross-entropy on a one-hot target: -log p[target]."""
+    return -math.log(float(probs[true_identity]))
 
 
 def loss_bmi(estimate: float, true_bmi: float) -> float:
@@ -89,15 +89,37 @@ class TestLosses:
         ce, dlogits = mtnet._cross_entropy(np.array([[0.0, 0.0, 800.0, 0.0, 0.0]]),
                                            np.array([2]))
         assert ce == 0.0
-        np.testing.assert_allclose(dlogits, 0.0, atol=2 * mtnet.LOG_EPS)
+        np.testing.assert_array_equal(dlogits, 0.0)  # exp(-800) is 0.0
         ce, dlogits = mtnet._cross_entropy(np.zeros((2, 2)), np.array([0, 1]))
         assert ce == pytest.approx(math.log(2))
         np.testing.assert_allclose(dlogits, [[-0.25, 0.25], [0.25, -0.25]])
 
-    def test_loss_subject_clamps_zero(self):
-        ce, _ = mtnet._cross_entropy(np.array([[0.0, -800.0]]), np.array([1]))
-        assert ce == pytest.approx(-math.log(mtnet.LOG_EPS))
-        assert loss_subject(np.array([1.0, 0.0]), 1) == pytest.approx(-math.log(1e-12))
+    def test_loss_subject_exact_at_tiny_probability(self):
+        ce, dlogits = mtnet._cross_entropy(np.array([[0.0, -800.0]]), np.array([1]))
+        assert ce == 800.0
+        np.testing.assert_array_equal(dlogits, [[1.0, -1.0]])
+        p = math.exp(-50.0)
+        assert loss_subject(np.array([1.0 - p, p]), 1) == pytest.approx(50.0)
+
+    @pytest.mark.parametrize("logits, labels", [
+        ([[0.0, -800.0]], [1]),
+        ([[0.0, 0.0, 800.0, 0.0, 0.0]], [0]),
+        ([[3.0, -40.0, 0.5], [-1.0, 2.0, -90.0], [0.0, 0.0, 0.0]], [1, 2, 0]),
+    ])
+    def test_cross_entropy_gradient_is_its_derivative(self, logits, labels):
+        # Labels with probabilities far under 1e-12 included: the loss keeps
+        # falling as their logits rise, and the gradient says so.
+        logits, labels = np.array(logits), np.array(labels)
+        _, grad = mtnet._cross_entropy(logits, labels)
+        h = 1e-5
+        fd = np.empty_like(logits)
+        for i in np.ndindex(logits.shape):
+            up, down = logits.copy(), logits.copy()
+            up[i] += h
+            down[i] -= h
+            fd[i] = (mtnet._cross_entropy(up, labels)[0]
+                     - mtnet._cross_entropy(down, labels)[0]) / (2 * h)
+        np.testing.assert_allclose(fd, grad, rtol=1e-6, atol=1e-7)
 
     def test_loss_bmi(self):
         # the BMI term is the mean half squared error of the BMI head
@@ -111,11 +133,11 @@ class TestLosses:
 
     def test_batch_loss_matches_per_sample_oracle(self):
         model, X, subjects, bmi = random_model(n=12, M=4)
-        # push subject P3's logit far down so its probability falls under LOG_EPS
+        # push subject P3's logit far down: its rows cost ~80 nats each
         model.biases[-2][3] -= 80.0
         out = forward(model, X)
         p3 = out.identity_probs[subjects == "P3", 3]
-        assert len(p3) and np.all(p3 < mtnet.LOG_EPS)
+        assert len(p3) and np.all(p3 < 1e-12)
         idx = mtnet._identity_indices(model.subject_ids, subjects)
         per_sample = [loss_subject(out.identity_probs[i], idx[i])
                       + loss_bmi(out.bmi_estimate[i], bmi[i]) for i in range(len(X))]
@@ -171,6 +193,32 @@ class TestGradient:
             fd = (fun(tp)[0] - fun(tm)[0]) / (2 * h)
             rel = abs(fd - g[i]) / max(abs(fd), abs(g[i]), 1e-12)
             assert rel < 1e-4
+
+    def test_matches_finite_differences_at_tiny_label_probabilities(self):
+        # P3's identity logit is pushed down until its probability is under
+        # 1e-12 on every row; the P3 column of the identity head is where the
+        # loss and its gradient could part.
+        model, X, subjects, bmi = random_model(n=12, M=4)
+        model.biases[-2][3] -= 80.0
+        assert np.all(forward(model, X).identity_probs[:, 3] < 1e-12)
+        xn = (X - model.norm_mean) / model.norm_std
+        y = mtnet._identity_indices(model.subject_ids, subjects)
+        dims = mtnet._layer_dims(14, 4)
+        theta = mtnet._pack(model.weights, model.biases)
+        w_idx, b_idx = mtnet._unpack(np.arange(len(theta)), dims)
+        coords = np.append(w_idx[-2][:, 3], b_idx[-2][3])
+
+        def fun(t):
+            return mtnet._batch_loss_grad(t, dims, xn, y, bmi, 1e-4)
+
+        _, g = fun(theta)
+        h = 1e-5
+        fd = []
+        for i in coords:
+            tp = theta.copy(); tp[i] += h
+            tm = theta.copy(); tm[i] -= h
+            fd.append((fun(tp)[0] - fun(tm)[0]) / (2 * h))
+        np.testing.assert_allclose(fd, g[coords], rtol=1e-4, atol=1e-7)
 
     def test_zero_loss_configuration_leaves_decay_gradient(self):
         # with zero weight decay and an exactly-fit batch, gradient of the BMI
