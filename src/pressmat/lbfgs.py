@@ -66,10 +66,13 @@ def strong_wolfe(fun, x, f0, g0, direction, alpha0=1.0):
     if dphi0 >= 0:
         return None, None, f0, g0, 0
 
+    x_new = None  # the latest trial point; earlier ones are dropped before fun runs
+
     def phi(alpha):
+        nonlocal x_new
         x_new = x + alpha * direction
         f, g = fun(x_new)
-        return x_new, f, g, float(g @ direction)
+        return f, g, float(g @ direction)
 
     evals = 0
 
@@ -81,7 +84,7 @@ def strong_wolfe(fun, x, f0, g0, direction, alpha0=1.0):
             span = hi_b - lo_b
             if alpha is None or not (lo_b + 0.1 * span <= alpha <= hi_b - 0.1 * span):
                 alpha = 0.5 * (lo + hi)
-            x_new, f, g, d = phi(alpha)
+            f, g, d = phi(alpha)
             evals += 1
             if f > f0 + WOLFE_C1 * alpha * dphi0 or f >= f_lo:
                 hi, f_hi, d_hi = alpha, f, d
@@ -98,7 +101,7 @@ def strong_wolfe(fun, x, f0, g0, direction, alpha0=1.0):
     alpha_prev, f_prev, d_prev = 0.0, f0, dphi0
     alpha = alpha0
     for i in range(WOLFE_MAX_EVALS):
-        x_new, f, g, d = phi(alpha)
+        f, g, d = phi(alpha)
         evals += 1
         if f > f0 + WOLFE_C1 * alpha * dphi0 or (i > 0 and f >= f_prev):
             return (*zoom(alpha_prev, f_prev, d_prev, alpha, f, d), evals)
