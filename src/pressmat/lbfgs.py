@@ -58,16 +58,14 @@ def _cubic_minimizer(a, fa, ga, b, fb, gb):
 def strong_wolfe(fun, x, f0, g0, direction, alpha0=1.0):
     """Line search satisfying the strong Wolfe conditions.
 
-    Returns ``(alpha, x_new, f, g, n_evals)``, ``x_new = x + alpha * direction``
-    the accepted point; ``alpha`` and ``x_new`` are None when no acceptable
-    step was found within the evaluation budget.
+    Returns ``(alpha, x + alpha * direction, f, g, n_evals)``; the first two are
+    None when no acceptable step was found within the evaluation budget.
     """
     dphi0 = float(g0 @ direction)
     if dphi0 >= 0:
         return None, None, f0, g0, 0
 
     x_new = None  # the latest trial point; earlier ones are dropped before fun runs
-
     def phi(alpha):
         nonlocal x_new
         x_new = x + alpha * direction
@@ -115,7 +113,7 @@ def strong_wolfe(fun, x, f0, g0, direction, alpha0=1.0):
 
 
 def _backtrack(fun, x, f0, g0, direction):
-    """Armijo backtracking; returns (alpha, x_new, f, g, n_evals) like strong_wolfe."""
+    """Armijo backtracking; returns ``(alpha, x_new, f, g, n_evals)`` like strong_wolfe."""
     dphi0 = float(g0 @ direction)
     if dphi0 >= 0:
         return None, None, f0, g0, 0

@@ -160,8 +160,7 @@ def hidden_activations(model: MultitaskModel, features: np.ndarray) -> np.ndarra
 def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Exact mean softmax cross-entropy against integer labels, and its logit gradient.
 
-    The stable log-softmax needs no floor: a label at log-probability -800
-    costs 800, and the gradient is the derivative of the returned loss.
+    The stable log-softmax needs no floor: a label at log-probability -800 costs 800.
     """
     n = logits.shape[0]
     rows = np.arange(n)
