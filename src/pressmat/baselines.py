@@ -26,6 +26,17 @@ def zscore_fit(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, std
 
 
+def class_counts(labels, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every learner's class ids as ints, and the row count of each id 0..max;
+    ValueError unless there is one integer id >= 0 per training row (n_rows >= 1)."""
+    ids = np.asarray(labels, dtype=int)
+    negative = np.count_nonzero(ids < 0)
+    if ids.shape != (n_rows,) or negative or n_rows < 1:
+        raise ValueError(f"class labels need one integer id >= 0 per training row; got "
+                         f"shape {ids.shape} for {n_rows} rows, {negative} negative")
+    return ids, np.bincount(ids)
+
+
 def _pairwise_distances(queries: np.ndarray, train: np.ndarray, metric: str) -> np.ndarray:
     q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     t = np.asarray(train, dtype=np.float64)
@@ -61,11 +72,10 @@ def knn_classify_batch(
     the earliest rows in training order among those at exactly that distance;
     vote ties take the smallest class id. A NaN distance raises ValueError.
     """
-    train_y = np.asarray(train_y, dtype=int)
+    train_y, class_sizes = class_counts(train_y, len(train_x))
+    n_classes = len(class_sizes)
     if k < 1 or k > len(train_y):
         raise ValueError(f"k must be in 1..{len(train_y)}, got {k}")
-    if train_y.min() < 0:
-        raise ValueError("class ids must be >= 0")
     d = _pairwise_distances(queries, train_x, metric)
     if np.isnan(d).any():
         raise ValueError("kNN distance is NaN; features must be finite")
@@ -76,7 +86,6 @@ def knn_classify_batch(
         room = k - closer.sum(axis=1, keepdims=True)
         near = closer | (tied & (np.cumsum(tied, axis=1) <= room))
     rows, cols = np.divmod(np.flatnonzero(near), d.shape[1])  # faster than 2-D nonzero
-    n_classes = int(train_y.max()) + 1
     counts = np.bincount(rows * n_classes + train_y[cols], minlength=len(d) * n_classes)
     return counts.reshape(len(d), n_classes).argmax(axis=1)  # first max: smallest id
 
@@ -91,12 +100,10 @@ class GaussianNBModel:
 def gnb_fit(x: np.ndarray, y: np.ndarray) -> GaussianNBModel:
     """One Gaussian per class id 0..max(y); a missing id raises ValueError."""
     x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=int)
-    n_classes = int(y.max()) + 1
-    counts = np.bincount(y, minlength=n_classes)
-    for c in range(n_classes):
-        if counts[c] == 0:
-            raise ValueError(f"class {c} has no training samples")
+    y, counts = class_counts(y, len(x))
+    n_classes = len(counts)
+    if not counts.all():
+        raise ValueError(f"class {np.argmin(counts)} has no training samples")
     means = np.empty((n_classes, x.shape[1]))
     variances = np.empty_like(means)
     for c in range(n_classes):

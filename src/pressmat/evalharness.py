@@ -137,11 +137,10 @@ def per_class_prf(truth, pred, n_classes: int) -> dict:
 
 @dataclass
 class FoldData:
-    """Arrays a recipe sees for one side of a fold split."""
+    """Arrays a recipe sees for one side of a fold split; labels are int class ids."""
 
     x: np.ndarray            # active feature matrix
-    subject_ids: np.ndarray  # (n,) str
-    subject_idx: np.ndarray  # (n,) int index into the class order
+    subject_idx: np.ndarray  # (n,) index into identity_classes (np.unique order)
     bmi: np.ndarray          # (n,)
     bmi_class: np.ndarray | None  # (n,) int class id, if the recipe uses it
 
@@ -157,11 +156,9 @@ class MtnetRecipe:
 
     def run_fold(self, train: FoldData, test: FoldData, seed: int) -> dict:
         config = dataclasses.replace(self.config, seed=seed)
-        model = mtnet.train(train.x, train.subject_ids, train.bmi, config)
+        model = mtnet.train(train.x, train.subject_idx, train.bmi, config)
         mtnet.fit_bmi_class_head(model, train.x, train.bmi_class)
         out = mtnet.forward(model, test.x)
-        # Every fold trains on every subject, so the model's class order is
-        # the report's and its argmax is already the subject index.
         return {
             "identity_pred_idx": out.identity_probs.argmax(axis=1),
             "bmi_pred": out.bmi_estimate,
@@ -297,19 +294,16 @@ def _checked_predictions(preds: dict, n_rows: int, n_subjects: int, n_classes: i
 
 def _fold_scores(preds: dict, test: FoldData, n_subjects: int,
                  n_classes: int) -> tuple[dict, dict]:
-    """One fold's scalar metrics and per-class arrays from its checked predictions."""
-    scalars: dict[str, float] = {}
-    arrays: dict[str, list] = {}
+    """One fold's scalar metrics and per-class arrays from its checked predictions:
+    :func:`_importance_scores`' two scalars, and the rest."""
+    scalars, arrays = _importance_scores(preds, test, n_subjects, n_classes)
     if "identity_pred_idx" in preds:
-        pred_idx = preds["identity_pred_idx"]
-        scalars["identity_accuracy"] = accuracy(pred_idx, test.subject_idx)
-        prf = per_class_prf(test.subject_idx, pred_idx, n_subjects)
+        prf = per_class_prf(test.subject_idx, preds["identity_pred_idx"], n_subjects)
         for part in ("precision", "recall", "f1"):
             scalars[f"identity_{part}_macro"] = prf[f"{part}_macro"]
             arrays[f"identity_{part}"] = prf[part].tolist()
         arrays["identity_confusion"] = prf["confusion"].tolist()
     if "bmi_pred" in preds:
-        scalars["bmi_r2"] = r2(preds["bmi_pred"], test.bmi)
         scalars["bmi_rmse"] = rmse(preds["bmi_pred"], test.bmi)
     if "bmi_class_pred" in preds:
         cls_pred = preds["bmi_class_pred"]
@@ -321,8 +315,7 @@ def _fold_scores(preds: dict, test: FoldData, n_subjects: int,
 
 def _importance_scores(preds: dict, test: FoldData, n_subjects: int,
                        n_classes: int) -> tuple[dict, dict]:
-    """The two scalars drop-column importance reports, as :func:`_fold_scores`
-    computes them, and no arrays."""
+    """The two scalars drop-column importance reports, and no arrays."""
     scalars = {}
     if "identity_pred_idx" in preds:
         scalars["identity_accuracy"] = accuracy(preds["identity_pred_idx"], test.subject_idx)
@@ -371,6 +364,9 @@ class _CvSplit:
 
     @classmethod
     def build(cls, table: FeatureTable, recipe, plan: FoldPlan) -> "_CvSplit":
+        if len(plan.assignment) != len(table):
+            raise ValueError(f"fold plan covers {len(plan.assignment)} rows, "
+                             f"table has {len(table)}")
         # np.unique's order is sorted(set(ids)), the report's identity_classes.
         order, subject_idx = np.unique(table.subject_ids, return_inverse=True)
         class_order = order.tolist()
@@ -378,7 +374,7 @@ class _CvSplit:
         n_classes = 0 if bmi_class is None else int(bmi_class.max()) + 1
 
         def labels(idx: np.ndarray) -> tuple:
-            cols = (table.subject_ids[idx], subject_idx[idx], table.bmi[idx],
+            cols = (subject_idx[idx], table.bmi[idx],
                     None if bmi_class is None else bmi_class[idx])
             for a in cols:
                 if a is not None:
@@ -434,7 +430,8 @@ def run_cv(
 
     For a recipe that produces ``"bmi_class"``, the table's BMI classes are
     built once, before the first fold; a table they cannot be built from
-    raises that ``ValueError`` before any fold runs.
+    raises that ``ValueError`` before any fold runs, as does a plan that was
+    not made for the table (another row count).
     A fold that raises ``ValueError`` (bad data; ``np.linalg.LinAlgError`` is
     one) is recorded and skipped, and two such failures raise
     :class:`CVAbortedError`. Any other exception is a programming error and

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import lbfgs
-from .baselines import zscore_fit
+from .baselines import class_counts, zscore_fit
 from .dataset import check_keys, check_mask, read_json, write_json
 
 HIDDEN_SIZES = (64, 128, 256, 256, 256)
@@ -217,14 +217,6 @@ def _batch_loss_grad(theta, dims, xn, y_idx, bmi, weight_decay):
     return loss, grad
 
 
-def _identity_indices(subject_ids: tuple[str, ...], identities) -> np.ndarray:
-    index = {sid: i for i, sid in enumerate(subject_ids)}
-    try:
-        return np.array([index[s] for s in np.atleast_1d(identities)], dtype=int)
-    except KeyError as e:
-        raise ValueError(f"unknown subject {e.args[0]!r}") from e
-
-
 # ---------------------------------------------------------------------------
 # Training
 # ---------------------------------------------------------------------------
@@ -238,26 +230,32 @@ def train(
 ) -> MultitaskModel:
     """Fit the multitask network on raw active feature rows.
 
-    ``subjects`` are string labels; the sorted unique set fixes the identity
-    class order. Training is bit-deterministic given (data, config, seed)
-    only on one machine at one BLAS thread count: the thread count changes
-    the summation order inside matrix products, and the trajectory drifts
-    from there (a one-input fit with identity labels unrelated to the input,
-    at seed 1 and capped at 400 iterations, reached BMI R^2 0.99890 with two
-    OpenBLAS threads and 0.99924 with one).
+    ``subjects`` holds one label per row, of any kind ``np.unique`` sorts
+    (subject names, or integer ids); ``np.unique``'s order is the identity
+    class order. Features and BMI must be finite, with one BMI per row;
+    anything else raises ValueError. Training is bit-deterministic given
+    (data, config, seed) only on one machine at one BLAS thread count: the
+    thread count changes the summation order inside matrix products, and the
+    trajectory drifts from there (a one-input fit with identity labels
+    unrelated to the input, at seed 1 and capped at 400 iterations, reached
+    BMI R^2 0.99890 with two OpenBLAS threads and 0.99924 with one).
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValueError("features must be a non-empty 2-D array")
-    subjects = np.asarray(subjects)
     bmi = np.asarray(bmi, dtype=np.float64)
-    subject_ids = tuple(sorted(set(subjects.tolist())))
+    if bmi.shape != (len(x),):
+        raise ValueError(f"bmi needs one entry per row: shape {bmi.shape} for {len(x)} rows")
+    if not (np.isfinite(x).all() and np.isfinite(bmi).all()):
+        raise ValueError("features and BMI must be finite")
+    order, y_idx = np.unique(subjects, return_inverse=True)
+    y_idx, _ = class_counts(y_idx, len(x))
+    subject_ids = tuple(order.tolist())
     if len(subject_ids) < 2:
         raise ValueError("need at least 2 subjects to train the identity head")
 
     mean, std = zscore_fit(x)
     xn = (x - mean) / std
-    y_idx = _identity_indices(subject_ids, subjects)
 
     dims = _layer_dims(x.shape[1], len(subject_ids))
     rng = np.random.default_rng(config.seed)
@@ -294,37 +292,31 @@ def fit_bmi_class_head(
     """Fit the post-hoc logistic head on fifth-layer activations.
 
     The head has one output per class id 0..max(class_labels); every id must
-    occur. Uses the trunk's weight-decay coefficient and runs L-BFGS until
-    the gradient max-norm is below ``GRAD_TOL`` (convex problem).
+    occur, and :func:`baselines.class_counts` checks the labels. Uses the
+    trunk's weight-decay coefficient and runs L-BFGS until the gradient
+    max-norm is below ``GRAD_TOL`` (convex problem).
     """
-    labels = np.asarray(class_labels, dtype=int)
-    n_classes = int(labels.max()) + 1
-    present = set(labels.tolist())
-    for c in range(n_classes):
-        if c not in present:
-            raise ValueError(f"BMI class {c} absent from training data")
-
     h = hidden_activations(model, features)
-    d = h.shape[1]
+    labels, counts = class_counts(class_labels, len(h))
+    if not counts.all():
+        raise ValueError(f"BMI class {np.argmin(counts)} absent from training data")
+    n_classes = len(counts)
+    dims = [(h.shape[1], n_classes)]
 
     def fun(theta):
-        w = theta[: d * n_classes].reshape(d, n_classes)
-        b = theta[d * n_classes:]
+        (w,), (b,) = _unpack(theta, dims)
         ce, dlogits = _cross_entropy(h @ w + b, labels)
         loss = ce + _decay_term([w], WEIGHT_DECAY)
         gw = h.T @ dlogits + 2.0 * WEIGHT_DECAY * w
-        gb = dlogits.sum(axis=0)
-        return loss, np.concatenate([gw.ravel(), gb])
+        return loss, _pack([gw], [dlogits.sum(axis=0)])
 
-    theta0 = np.zeros(d * n_classes + n_classes)
+    theta0 = np.zeros(h.shape[1] * n_classes + n_classes)
     result = lbfgs.minimize_lbfgs(
         fun, theta0, max_iterations=max_iterations,
         memory=LBFGS_MEMORY, grad_tol=GRAD_TOL, loss_tol=1e-16,
     )
-    head = BmiClassHead(
-        weight=result.x[: d * n_classes].reshape(d, n_classes).copy(),
-        bias=result.x[d * n_classes:].copy(),
-    )
+    (w,), (b,) = _unpack(result.x, dims)
+    head = BmiClassHead(weight=w.copy(), bias=b.copy())
     model.class_head = head
     return head
 

@@ -173,7 +173,7 @@ def test_criterion_2_gradient_matches_finite_differences():
 
     dims = mtnet._layer_dims(F, M)
     xn = (X - model.norm_mean) / model.norm_std
-    y = mtnet._identity_indices(model.subject_ids, subjects)
+    y = np.searchsorted(model.subject_ids, subjects)
     theta = mtnet._pack(model.weights, model.biases)
 
     def fun(t):

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from pressmat import mtnet
 from pressmat.baselines import (
     _pairwise_distances,
     build_bmi_classes,
+    class_counts,
     gnb_classify,
     gnb_fit,
     knn_classify_batch,
@@ -300,6 +302,50 @@ class TestGnb:
     def test_missing_class_rejected(self):
         with pytest.raises(ValueError, match="class 1"):
             gnb_fit(np.zeros((4, 1)), np.array([0, 0, 2, 2]))
+
+
+CONTRACT_X = np.random.default_rng(0).normal(size=(30, 3))
+CONTRACT_BMI = np.linspace(18.0, 35.0, 30)
+CONTRACT_IDS = np.arange(30) % 3
+
+
+def _train_one_step(x, subjects):
+    return mtnet.train(x, subjects, CONTRACT_BMI, mtnet.TrainConfig(max_iterations=1))
+
+
+LABEL_LEARNERS = {
+    "knn": lambda x, y: knn_classify_batch(x, y, x[:2], k=3),
+    "gnb": gnb_fit,
+    "class_head": lambda x, y: mtnet.fit_bmi_class_head(
+        _train_one_step(x, CONTRACT_IDS), x, y, max_iterations=1),
+    "train_subjects": _train_one_step,
+}
+BAD_LABELS = {
+    "negative_id": np.array([-1, 0, 1] * 10),
+    "one_short": CONTRACT_IDS[:-1],
+    "one_extra": np.append(CONTRACT_IDS, 0),
+}
+
+
+class TestClassIdContract:
+    """Every learner reads its labels through ``class_counts``."""
+
+    @pytest.mark.parametrize("learner, bad", [
+        (learner, bad) for learner, bad in itertools.product(LABEL_LEARNERS, BAD_LABELS)
+        # mtnet.train's subjects are labels, not ids: a -1 is one more subject
+        if (learner, bad) != ("train_subjects", "negative_id")
+    ])
+    def test_bad_labels_raise_one_error(self, learner, bad):
+        with pytest.raises(ValueError, match="one integer id >= 0 per training row"):
+            LABEL_LEARNERS[learner](CONTRACT_X, BAD_LABELS[bad])
+
+    def test_train_orders_any_labels_as_np_unique(self):
+        model = _train_one_step(CONTRACT_X, BAD_LABELS["negative_id"])
+        assert model.subject_ids == (-1, 0, 1)
+
+    def test_counts_every_id_up_to_the_largest(self):
+        ids, counts = class_counts([2, 0, 2], 3)
+        assert ids.tolist() == [2, 0, 2] and counts.tolist() == [1, 0, 2]
 
 
 class TestLinreg:

@@ -32,7 +32,7 @@ def loss_bmi(estimate: float, true_bmi: float) -> float:
 def batch_loss_grad(model, features, identities, bmi, weight_decay=mtnet.WEIGHT_DECAY):
     """The training objective and its gradient at the model's parameters."""
     xn = (np.atleast_2d(features) - model.norm_mean) / model.norm_std
-    y_idx = mtnet._identity_indices(model.subject_ids, identities)
+    y_idx = np.searchsorted(model.subject_ids, identities)
     theta = mtnet._pack(model.weights, model.biases)
     dims = mtnet._layer_dims(model.n_features, model.n_subjects)
     return mtnet._batch_loss_grad(theta, dims, xn, y_idx, np.asarray(bmi, dtype=float),
@@ -138,7 +138,7 @@ class TestLosses:
         out = forward(model, X)
         p3 = out.identity_probs[subjects == "P3", 3]
         assert len(p3) and np.all(p3 < 1e-12)
-        idx = mtnet._identity_indices(model.subject_ids, subjects)
+        idx = np.searchsorted(model.subject_ids, subjects)
         per_sample = [loss_subject(out.identity_probs[i], idx[i])
                       + loss_bmi(out.bmi_estimate[i], bmi[i]) for i in range(len(X))]
         decay = 1e-3 * sum(float((w * w).sum()) for w in model.weights)
@@ -177,7 +177,7 @@ class TestGradient:
     def test_matches_finite_differences(self):
         model, X, subjects, bmi = random_model(n=8, F=14, M=5, seed=7)
         xn = (X - model.norm_mean) / model.norm_std
-        y = mtnet._identity_indices(model.subject_ids, subjects)
+        y = np.searchsorted(model.subject_ids, subjects)
         dims = mtnet._layer_dims(14, 5)
         theta = mtnet._pack(model.weights, model.biases)
 
@@ -202,7 +202,7 @@ class TestGradient:
         model.biases[-2][3] -= 80.0
         assert np.all(forward(model, X).identity_probs[:, 3] < 1e-12)
         xn = (X - model.norm_mean) / model.norm_std
-        y = mtnet._identity_indices(model.subject_ids, subjects)
+        y = np.searchsorted(model.subject_ids, subjects)
         dims = mtnet._layer_dims(14, 4)
         theta = mtnet._pack(model.weights, model.biases)
         w_idx, b_idx = mtnet._unpack(np.arange(len(theta)), dims)
@@ -227,7 +227,7 @@ class TestGradient:
         theta = mtnet._pack(model.weights, model.biases)
         dims = mtnet._layer_dims(14, 5)
         xn = (X - model.norm_mean) / model.norm_std
-        y = mtnet._identity_indices(model.subject_ids, subjects)
+        y = np.searchsorted(model.subject_ids, subjects)
         _, g_with = mtnet._batch_loss_grad(theta, dims, xn, y, bmi, 1e-3)
         _, g_without = mtnet._batch_loss_grad(theta, dims, xn, y, bmi, 0.0)
         decay_grad = g_with - g_without
@@ -276,6 +276,18 @@ class TestTraining:
     def test_single_subject_rejected(self):
         with pytest.raises(ValueError):
             train(np.zeros((4, 3)), ["A"] * 4, np.full(4, 22.0), TrainConfig())
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda x, bmi: (x, bmi[:1]), "bmi needs one entry per row"),
+        (lambda x, bmi: (x, bmi[:-1]), "bmi needs one entry per row"),
+        (lambda x, bmi: (np.where(x > 1.5, np.nan, x), bmi), "must be finite"),
+        (lambda x, bmi: (x, np.append(bmi[:-1], np.inf)), "must be finite"),
+    ], ids=["one_bmi", "bmi_one_short", "nan_feature", "inf_bmi"])
+    def test_malformed_rows_rejected(self, edit, message):
+        rng = np.random.default_rng(5)
+        x, bmi = edit(rng.normal(size=(12, 3)), rng.uniform(18, 35, size=12))
+        with pytest.raises(ValueError, match=message):
+            train(x, np.array(["A", "B", "C"] * 4), bmi, TrainConfig(max_iterations=5))
 
     def test_normalization_round_trip(self):
         # the stored statistics z-score the training rows and map them back
