@@ -37,6 +37,18 @@ def class_counts(labels, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
     return ids, np.bincount(ids)
 
 
+def check_finite(values, what: str = "features") -> np.ndarray:
+    """Every learner's inputs as float64; ValueError naming the first non-finite
+    entry's row and column (column 0 of a 1-D array)."""
+    values = np.asarray(values, dtype=np.float64)
+    finite = np.isfinite(values)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        row, col = divmod(first, values.shape[1] if values.ndim == 2 else 1)
+        raise ValueError(f"{what} must be finite: row {row}, column {col} is {values.flat[first]}")
+    return values
+
+
 def _pairwise_distances(queries: np.ndarray, train: np.ndarray, metric: str) -> np.ndarray:
     q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     t = np.asarray(train, dtype=np.float64)
@@ -70,15 +82,18 @@ def knn_classify_batch(
 
     The neighbours are every row closer than the k-th smallest distance, then
     the earliest rows in training order among those at exactly that distance;
-    vote ties take the smallest class id. A NaN distance raises ValueError.
+    vote ties take the smallest class id. Non-finite rows raise ValueError, and
+    so does a NaN distance, which finite rows give when a square overflows.
     """
+    train_x = check_finite(train_x)
+    queries = check_finite(np.atleast_2d(queries), "queries")
     train_y, class_sizes = class_counts(train_y, len(train_x))
     n_classes = len(class_sizes)
     if k < 1 or k > len(train_y):
         raise ValueError(f"k must be in 1..{len(train_y)}, got {k}")
     d = _pairwise_distances(queries, train_x, metric)
     if np.isnan(d).any():
-        raise ValueError("kNN distance is NaN; features must be finite")
+        raise ValueError(f"kNN distance is NaN: the features overflow the {metric} distance")
     kth = np.partition(d, k - 1, axis=1)[:, k - 1:k]
     near = d <= kth
     if np.count_nonzero(near) > k * len(d):  # some row ties past k at the k-th distance
@@ -99,7 +114,7 @@ class GaussianNBModel:
 
 def gnb_fit(x: np.ndarray, y: np.ndarray) -> GaussianNBModel:
     """One Gaussian per class id 0..max(y); a missing id raises ValueError."""
-    x = np.asarray(x, dtype=np.float64)
+    x = check_finite(x)
     y, counts = class_counts(y, len(x))
     n_classes = len(counts)
     if not counts.all():
@@ -134,8 +149,8 @@ class LinearModel:
 
 def linreg_fit(x: np.ndarray, y: np.ndarray) -> LinearModel:
     """Ordinary least squares via SVD; rank deficiency gives the minimum-norm fit."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    x = check_finite(x)
+    y = check_finite(y, "targets")
     design = np.hstack([x, np.ones((len(x), 1))])
     beta, *_ = np.linalg.lstsq(design, y, rcond=None)
     return LinearModel(coef=beta[:-1], intercept=float(beta[-1]))

@@ -268,9 +268,9 @@ class EvaluationReport:
 def _checked_predictions(preds: dict, n_rows: int, n_subjects: int, n_classes: int) -> dict:
     """A recipe's predictions as arrays, once they fit the fold's test rows.
 
-    A prediction without one entry per test row is bad data and raises
-    ValueError; a class id outside the classes is a recipe bug and raises
-    IndexError. Keys are checked in scoring order, so the first fault wins.
+    A prediction without one entry per test row, or a non-finite BMI, is bad
+    data (ValueError); a class id outside the classes is a recipe bug
+    (IndexError). Keys are checked in scoring order, so the first fault wins.
     """
     checked = {}
     for key, dtype, n_ids in (("identity_pred_idx", int, n_subjects),
@@ -282,7 +282,9 @@ def _checked_predictions(preds: dict, n_rows: int, n_subjects: int, n_classes: i
         if pred.shape != (n_rows,):
             raise ValueError(f"{key} needs one entry per test row: shape {pred.shape} "
                              f"for {n_rows} rows")
-        if n_ids is not None:
+        if n_ids is None:
+            baselines.check_finite(pred, key)
+        else:
             bad = (pred < 0) | (pred >= n_ids)
             if bad.any():
                 i = int(np.argmax(bad))

@@ -7,8 +7,9 @@ solves per iteration.
 
 The objective is a callable ``fun(x) -> (loss, grad)``. The minimizer is a
 deterministic function of its inputs. Accepted iterates never increase the
-loss; when the Wolfe search fails the step falls back to backtracking
-steepest descent and the event is logged.
+loss; when the Wolfe search finds no step the fit stops at the last accepted
+point, logged at warning, as L-BFGS-B ends with ABNORMAL_TERMINATION_IN_LNSRCH
+(Zhu, Byrd, Lu & Nocedal 1997).
 """
 
 import logging
@@ -21,8 +22,7 @@ log = logging.getLogger(__name__)
 
 WOLFE_C1 = 1e-4
 WOLFE_C2 = 0.9
-WOLFE_MAX_EVALS = 25      # objective calls per strong-Wolfe search
-BACKTRACK_MAX_EVALS = 40  # objective calls per backtracking fallback
+WOLFE_MAX_EVALS = 25  # objective calls per strong-Wolfe search
 
 
 @dataclass
@@ -32,9 +32,9 @@ class MinimizeResult:
     grad_norm: float
     n_iterations: int
     n_evaluations: int
-    stop_reason: str  # "max_iterations" | "grad_tol" | "loss_tol" | "stalled"
+    stop_reason: str  # "max_iterations" | "grad_tol" | "loss_tol" | "line_search_failed"
     loss_history: list[float] = field(default_factory=list)
-    line_search_failures: int = 0
+    line_search_failures: int = 0  # 1 when stop_reason is "line_search_failed"
 
 
 def _cubic_minimizer(a, fa, ga, b, fb, gb):
@@ -109,23 +109,6 @@ def strong_wolfe(fun, x, f0, g0, direction, alpha0=1.0):
             return (*zoom(alpha, f, d, alpha_prev, f_prev, d_prev), evals)
         alpha_prev, f_prev, d_prev = alpha, f, d
         alpha = 2.0 * alpha
-    return None, None, f0, g0, evals
-
-
-def _backtrack(fun, x, f0, g0, direction):
-    """Armijo backtracking; returns ``(alpha, x_new, f, g, n_evals)`` like strong_wolfe."""
-    dphi0 = float(g0 @ direction)
-    if dphi0 >= 0:
-        return None, None, f0, g0, 0
-    alpha = 1.0 / max(1.0, float(np.abs(g0).max()))
-    evals = 0
-    for _ in range(BACKTRACK_MAX_EVALS):
-        x_new = x + alpha * direction
-        f, g = fun(x_new)
-        evals += 1
-        if f <= f0 + WOLFE_C1 * alpha * dphi0:
-            return alpha, x_new, f, g, evals
-        alpha *= 0.5
     return None, None, f0, g0, evals
 
 
@@ -214,14 +197,14 @@ def minimize_lbfgs(fun, x0, max_iterations, memory=10, grad_tol=1e-6,
     *Representations of quasi-Newton matrices and their use in limited memory
     methods*) over a preallocated ring of the newest ``memory`` pairs.
     Stops at the iteration cap, when the gradient max-norm drops below
-    ``grad_tol``, or when the relative loss change drops below ``loss_tol``.
+    ``grad_tol``, when the relative loss change drops below ``loss_tol``, or
+    at the last accepted point when the line search finds no step.
     """
     x = np.asarray(x0, dtype=np.float64).copy()
     f, g = fun(x)
     evals = 1
     pairs = _Pairs(memory, x.size)
     history = [float(f)]
-    failures = 0
     stop = "max_iterations"
     it = 0
 
@@ -242,16 +225,11 @@ def minimize_lbfgs(fun, x0, max_iterations, memory=10, grad_tol=1e-6,
         _, x_new, f_new, g_new, n_ev = strong_wolfe(fun, x, f, g, direction, alpha0)
         evals += n_ev
         if x_new is None:
-            failures += 1
             log.warning("lbfgs: Wolfe search failed at iteration %d; "
-                        "falling back to backtracking steepest descent", it)
-            _, x_new, f_new, g_new, n_ev = _backtrack(fun, x, f, g, -g)
-            evals += n_ev
-            if x_new is None:
-                stop = "stalled"
-                it -= 1
-                break
-            pairs.reset()
+                        "stopping at the last accepted point", it)
+            stop = "line_search_failed"
+            it -= 1
+            break
 
         pairs.add(x_new, x, g_new, g)
 
@@ -265,6 +243,6 @@ def minimize_lbfgs(fun, x0, max_iterations, memory=10, grad_tol=1e-6,
     return MinimizeResult(
         x=x, loss=float(f), grad_norm=float(np.abs(g).max()),
         n_iterations=it, n_evaluations=evals, stop_reason=stop,
-        loss_history=history, line_search_failures=failures,
+        loss_history=history, line_search_failures=int(stop == "line_search_failed"),
     )
 

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import lbfgs
-from .baselines import class_counts, zscore_fit
+from .baselines import check_finite, class_counts, zscore_fit
 from .dataset import check_keys, check_mask, read_json, write_json
 
 HIDDEN_SIZES = (64, 128, 256, 256, 256)
@@ -240,14 +240,12 @@ def train(
     unrelated to the input, at seed 1 and capped at 400 iterations, reached
     BMI R^2 0.99890 with two OpenBLAS threads and 0.99924 with one).
     """
-    x = np.asarray(features, dtype=np.float64)
+    x = check_finite(features)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValueError("features must be a non-empty 2-D array")
-    bmi = np.asarray(bmi, dtype=np.float64)
+    bmi = check_finite(bmi, "BMI")
     if bmi.shape != (len(x),):
         raise ValueError(f"bmi needs one entry per row: shape {bmi.shape} for {len(x)} rows")
-    if not (np.isfinite(x).all() and np.isfinite(bmi).all()):
-        raise ValueError("features and BMI must be finite")
     order, y_idx = np.unique(subjects, return_inverse=True)
     y_idx, _ = class_counts(y_idx, len(x))
     subject_ids = tuple(order.tolist())
@@ -292,11 +290,12 @@ def fit_bmi_class_head(
     """Fit the post-hoc logistic head on fifth-layer activations.
 
     The head has one output per class id 0..max(class_labels); every id must
-    occur, and :func:`baselines.class_counts` checks the labels. Uses the
-    trunk's weight-decay coefficient and runs L-BFGS until the gradient
-    max-norm is below ``GRAD_TOL`` (convex problem).
+    occur; :func:`baselines.class_counts` checks the labels and
+    :func:`baselines.check_finite` the features. Uses the trunk's weight-decay
+    coefficient and runs L-BFGS until the gradient max-norm is below
+    ``GRAD_TOL`` (convex problem).
     """
-    h = hidden_activations(model, features)
+    h = hidden_activations(model, check_finite(features))
     labels, counts = class_counts(class_labels, len(h))
     if not counts.all():
         raise ValueError(f"BMI class {np.argmin(counts)} absent from training data")

@@ -237,14 +237,17 @@ class TestKnnSelection:
             q[1, 0] = np.nan
         else:
             x[2, 1] = np.nan
-        with pytest.raises(ValueError, match="NaN"):
+        want = "queries must be finite: row 1, column 0" if side == "query" else \
+            "features must be finite: row 2, column 1"
+        with pytest.raises(ValueError, match=want):
             knn_classify_batch(x, np.array([0, 1, 2]), q, k=2, metric=metric)
 
-    def test_inf_query_under_euclidean_rejected(self):
-        # inf - inf in the expanded square gives a NaN distance
-        x = np.array([[1.0, 2.0], [2.0, 1.0]])
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="NaN"):
-            knn_classify_batch(x, np.array([0, 1]), [[np.inf, 1.0]], k=1)
+    def test_overflowing_finite_rows_under_euclidean_rejected(self):
+        # 1e200 squared overflows, and inf - inf in the expanded square is NaN
+        x = np.array([[1e200, 2.0], [2.0, 1.0]])
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="kNN distance is NaN"):
+            knn_classify_batch(x, np.array([0, 1]), [[1e200, 1.0]], k=1)
 
 
 def one_line_euclidean(queries, train):
@@ -346,6 +349,35 @@ class TestClassIdContract:
     def test_counts_every_id_up_to_the_largest(self):
         ids, counts = class_counts([2, 0, 2], 3)
         assert ids.tolist() == [2, 0, 2] and counts.tolist() == [1, 0, 2]
+
+
+FINITE_LEARNERS = {
+    "knn": lambda x: knn_classify_batch(x, CONTRACT_IDS, CONTRACT_X[:2], k=3),
+    "gnb": lambda x: gnb_fit(x, CONTRACT_IDS),
+    "linreg": lambda x: linreg_fit(x, CONTRACT_BMI),
+    "class_head": lambda x: mtnet.fit_bmi_class_head(
+        _train_one_step(CONTRACT_X, CONTRACT_IDS), x, CONTRACT_IDS, max_iterations=1),
+    "train": lambda x: _train_one_step(x, CONTRACT_IDS),
+}
+
+
+class TestFiniteFeatureContract:
+    """Every learner reads its features through ``check_finite``."""
+
+    @pytest.mark.parametrize("learner", FINITE_LEARNERS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_feature_raises_one_error(self, learner, bad, capfd):
+        x = CONTRACT_X.copy()
+        x[4, 1] = bad
+        want = rf"^features must be finite: row 4, column 1 is {bad}$"
+        with pytest.raises(ValueError, match=want):
+            FINITE_LEARNERS[learner](x)
+        # a non-finite value reaching lstsq makes LAPACK print DLASCL errors to stderr
+        assert capfd.readouterr().err == ""
+
+    def test_names_the_first_bad_entry_of_a_target(self):
+        with pytest.raises(ValueError, match="targets must be finite: row 29, column 0 is nan"):
+            linreg_fit(CONTRACT_X, np.append(CONTRACT_BMI[:-1], np.nan))
 
 
 class TestLinreg:

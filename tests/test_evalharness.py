@@ -367,8 +367,9 @@ class TestFoldFailures:
         (lambda p: {**p, "bmi_class_pred": p["bmi_class_pred"][:-1]},
          CVAbortedError, "2 folds failed"),
         (lambda p: {**p, "bmi_pred": p["bmi_pred"][:-1]}, CVAbortedError, "2 folds failed"),
+        (lambda p: {**p, "bmi_pred": p["bmi_pred"] * np.nan}, CVAbortedError, "2 folds failed"),
     ], ids=["identity-id-minus-one", "class-id-equal-to-the-class-count",
-            "bmi-class-one-row-short", "bmi-one-row-short"])
+            "bmi-class-one-row-short", "bmi-one-row-short", "bmi-nan"])
     def test_label_outside_the_classes_propagates(self, path, bug, error, match):
         table = synthetic_table(n_subjects=3, frames=20, seed=23)
         plan = make_folds(table.subject_ids, n_folds=4, seed=0)
@@ -390,6 +391,24 @@ class TestFoldFailures:
         assert [f["fold"] for f in report.failed_folds] == [1]
         assert "bmi_pred needs one entry per test row" in report.failed_folds[0]["error"]
         assert [e["fold"] for e in report.per_fold] == [0, 2, 3]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_bmi_prediction_fails_the_fold(self, bad):
+        class BadRowOnFold1(self.FlakyRecipe):
+            def run_fold(self, train, test, seed):
+                pred = super().run_fold(train, test, seed)["bmi_pred"]
+                if self.calls == 2:
+                    pred[3] = bad
+                return {"bmi_pred": pred}
+
+        table = synthetic_table(n_subjects=3, frames=20, seed=24)
+        plan = make_folds(table.subject_ids, n_folds=4, seed=0)
+        report = run_cv(table, BadRowOnFold1(set()), plan)
+        assert [f["fold"] for f in report.failed_folds] == [1]
+        error = report.failed_folds[0]["error"]
+        assert f"bmi_pred must be finite: row 3, column 0 is {bad}" in error
+        assert [e["fold"] for e in report.per_fold] == [0, 2, 3]
+        assert np.isfinite(report.aggregate["scalars"]["bmi_r2"]["mean"])
 
 
 # What each entry of a recipe's ``produces`` puts in the aggregate: scalars,

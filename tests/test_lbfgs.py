@@ -190,25 +190,31 @@ class TestLbfgs:
         assert res.n_iterations == 0
 
 
-    def test_wolfe_failure_falls_back_to_backtracking_then_stalls(self, caplog):
+    def test_wolfe_failure_stops_at_the_last_accepted_point(self, caplog, monkeypatch):
         # The returned gradient x + c is not the gradient of 0.5 |x|^2, so no
-        # step meets the curvature condition. The first steepest-descent
-        # backtrack is accepted at its first trial step 1 / max|g0|; the
-        # second finds no decrease within its budget.
+        # step meets the curvature condition: the first search fails and the
+        # fit ends where it started.
         c = np.array([10.0, -3.0])
 
         def fun(x):
             return 0.5 * float(x @ x), x + c
 
+        searches = []
+
+        def counted(*args):
+            out = strong_wolfe(*args)
+            searches.append(out[-1])
+            return out
+
+        monkeypatch.setattr(lbfgs, "strong_wolfe", counted)
         x0 = np.array([1.0, 2.0])
         with caplog.at_level("WARNING", logger="pressmat.lbfgs"):
             res = minimize_lbfgs(fun, x0, max_iterations=50)
-        g0 = x0 + c
-        assert res.stop_reason == "stalled"
-        assert res.line_search_failures == 2
-        assert res.n_iterations == 1 == len(res.loss_history) - 1
-        assert np.array_equal(res.x, x0 + 1.0 / np.abs(g0).max() * -g0)
-        assert np.all(np.diff(res.loss_history) <= 0)
-        assert res.n_evaluations == 1 + 2 * lbfgs.WOLFE_MAX_EVALS + 1 + lbfgs.BACKTRACK_MAX_EVALS
-        failed = [r for r in caplog.records if "Wolfe search failed" in r.getMessage()]
-        assert [r.levelname for r in failed] == ["WARNING", "WARNING"]
+        assert res.stop_reason == "line_search_failed"
+        assert np.array_equal(res.x, x0) and res.n_iterations == 0
+        assert res.loss_history == [0.5 * float(x0 @ x0)]
+        assert res.line_search_failures == 1
+        assert searches == [lbfgs.WOLFE_MAX_EVALS]
+        assert res.n_evaluations == 1 + searches[0]
+        assert [r.levelname for r in caplog.records] == ["WARNING"]
+        assert "Wolfe search failed at iteration 1" in caplog.records[0].getMessage()
