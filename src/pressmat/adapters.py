@@ -118,19 +118,13 @@ def ingest_pmatdata(
                         continue
                     try:
                         values = np.asarray(line.split(), dtype=np.float64)
-                    except ValueError as e:
-                        raise ValueError(f"{path}: line {lineno}: {e}") from e
-                    if values.size != grid.n_cells:
-                        raise ValueError(
-                            f"{path}: line {lineno}: {values.size} values, "
-                            f"expected {grid.n_cells}"
+                        if values.size != grid.n_cells:
+                            raise ValueError(f"{values.size} values, expected {grid.n_cells}")
+                        arr = values.reshape(
+                            (grid.cols, grid.rows) if transpose else (grid.rows, grid.cols)
                         )
-                    arr = values.reshape(
-                        (grid.cols, grid.rows) if transpose else (grid.rows, grid.cols)
-                    )
-                    if transpose:
-                        arr = arr.T
-                    try:
+                        if transpose:
+                            arr = arr.T
                         frames.append(
                             PressureFrame(
                                 grid=grid,

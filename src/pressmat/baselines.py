@@ -38,8 +38,8 @@ def class_counts(labels, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def check_finite(values, what: str = "features") -> np.ndarray:
-    """Every learner's inputs as float64; ValueError naming the first non-finite
-    entry's row and column (column 0 of a 1-D array)."""
+    """Every learner's rows, fitted or predicted, as float64; ValueError naming
+    the first non-finite entry's row and column (column 0 of a 1-D array)."""
     values = np.asarray(values, dtype=np.float64)
     finite = np.isfinite(values)
     if not finite.all():
@@ -133,7 +133,8 @@ def gnb_fit(x: np.ndarray, y: np.ndarray) -> GaussianNBModel:
 
 
 def gnb_classify(model: GaussianNBModel, x: np.ndarray) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    """The most probable class per row; non-finite rows raise ValueError."""
+    x = check_finite(np.atleast_2d(x))
     # (n, C, F) log-likelihood terms
     diff = x[:, None, :] - model.means[None, :, :]
     ll = -0.5 * (np.log(2.0 * np.pi * model.variances)[None] + diff**2 / model.variances[None])
@@ -157,7 +158,8 @@ def linreg_fit(x: np.ndarray, y: np.ndarray) -> LinearModel:
 
 
 def linreg_predict(model: LinearModel, x: np.ndarray) -> np.ndarray:
-    return np.atleast_2d(np.asarray(x, dtype=np.float64)) @ model.coef + model.intercept
+    """One prediction per row; non-finite rows raise ValueError."""
+    return check_finite(np.atleast_2d(x)) @ model.coef + model.intercept
 
 
 def kmeans(*args, **kwargs):

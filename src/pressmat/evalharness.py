@@ -167,7 +167,8 @@ class MtnetRecipe:
 
 
 class KnnRecipe:
-    """k-nearest neighbors on z-scored features, identity and BMI class."""
+    """k-nearest neighbors on z-scored features, identity and BMI class; the
+    training rows are checked before z-scoring spreads a NaN over its column."""
 
     name = "knn"
     produces = ("identity", "bmi_class")
@@ -177,7 +178,7 @@ class KnnRecipe:
         self.metric = metric
 
     def run_fold(self, train: FoldData, test: FoldData, seed: int) -> dict:
-        mean, std = baselines.zscore_fit(train.x)
+        mean, std = baselines.zscore_fit(baselines.check_finite(train.x))
         xtr = (train.x - mean) / std
         xte = (test.x - mean) / std
         id_idx = baselines.knn_classify_batch(xtr, train.subject_idx, xte, self.k, self.metric)

@@ -145,8 +145,9 @@ def forward(model: MultitaskModel, features: np.ndarray) -> MultitaskOutput:
 
 
 def hidden_activations(model: MultitaskModel, features: np.ndarray) -> np.ndarray:
-    """Fifth-hidden-layer activations (the representation the class head uses)."""
-    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    """Fifth-hidden-layer activations (the representation the class head uses);
+    every forward pass reads its rows here, so non-finite rows raise ValueError."""
+    x = check_finite(np.atleast_2d(features))
     if x.shape[1] != model.n_features:
         raise ValueError(f"model expects {model.n_features} features, got {x.shape[1]}")
     xn = (x - model.norm_mean) / model.norm_std
@@ -291,11 +292,11 @@ def fit_bmi_class_head(
 
     The head has one output per class id 0..max(class_labels); every id must
     occur; :func:`baselines.class_counts` checks the labels and
-    :func:`baselines.check_finite` the features. Uses the trunk's weight-decay
+    :func:`hidden_activations` the features. Uses the trunk's weight-decay
     coefficient and runs L-BFGS until the gradient max-norm is below
     ``GRAD_TOL`` (convex problem).
     """
-    h = hidden_activations(model, check_finite(features))
+    h = hidden_activations(model, features)
     labels, counts = class_counts(class_labels, len(h))
     if not counts.all():
         raise ValueError(f"BMI class {np.argmin(counts)} absent from training data")

@@ -358,18 +358,31 @@ FINITE_LEARNERS = {
     "class_head": lambda x: mtnet.fit_bmi_class_head(
         _train_one_step(CONTRACT_X, CONTRACT_IDS), x, CONTRACT_IDS, max_iterations=1),
     "train": lambda x: _train_one_step(x, CONTRACT_IDS),
+    # predictions, from models fit on the clean rows
+    "knn_queries": lambda x: knn_classify_batch(CONTRACT_X, CONTRACT_IDS, x, k=3),
+    "gnb_classify": lambda x: gnb_classify(gnb_fit(CONTRACT_X, CONTRACT_IDS), x),
+    "linreg_predict": lambda x: linreg_predict(linreg_fit(CONTRACT_X, CONTRACT_BMI), x),
+    "forward": lambda x: mtnet.forward(_train_one_step(CONTRACT_X, CONTRACT_IDS), x),
+    "predict_bmi_class": lambda x: mtnet.predict_bmi_class(_with_class_head(), x),
 }
 
 
+def _with_class_head():
+    model = _train_one_step(CONTRACT_X, CONTRACT_IDS)
+    mtnet.fit_bmi_class_head(model, CONTRACT_X, CONTRACT_IDS, max_iterations=1)
+    return model
+
+
 class TestFiniteFeatureContract:
-    """Every learner reads its features through ``check_finite``."""
+    """Every learner reads its rows through ``check_finite``, to fit and to predict."""
 
     @pytest.mark.parametrize("learner", FINITE_LEARNERS)
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_feature_raises_one_error(self, learner, bad, capfd):
         x = CONTRACT_X.copy()
         x[4, 1] = bad
-        want = rf"^features must be finite: row 4, column 1 is {bad}$"
+        what = "queries" if learner == "knn_queries" else "features"
+        want = rf"^{what} must be finite: row 4, column 1 is {bad}$"
         with pytest.raises(ValueError, match=want):
             FINITE_LEARNERS[learner](x)
         # a non-finite value reaching lstsq makes LAPACK print DLASCL errors to stderr

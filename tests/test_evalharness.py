@@ -12,6 +12,7 @@ from pressmat.cli import main as cli_main
 from pressmat.evalharness import (
     CVAbortedError,
     EvaluationReport,
+    FoldData,
     GnbRecipe,
     KnnRecipe,
     LinregRecipe,
@@ -409,6 +410,34 @@ class TestFoldFailures:
         assert f"bmi_pred must be finite: row 3, column 0 is {bad}" in error
         assert [e["fold"] for e in report.per_fold] == [0, 2, 3]
         assert np.isfinite(report.aggregate["scalars"]["bmi_r2"]["mean"])
+
+
+def fold_pair():
+    """Fold 0's training and test sides of a 3-subject table, one class per subject."""
+    table = synthetic_table(n_subjects=3, frames=12, seed=8)
+    _, idx = np.unique(table.subject_ids, return_inverse=True)
+    plan = make_folds(table.subject_ids, n_folds=4, seed=0)
+    return tuple(FoldData(table.active_matrix()[rows], idx[rows], table.bmi[rows], idx[rows])
+                 for rows in (plan.train_indices(0), plan.test_indices(0)))
+
+
+class TestRecipesCheckTheirRows:
+    """A recipe fails on a non-finite row, and names the row that holds it."""
+
+    @pytest.mark.parametrize("recipe", [GnbRecipe(), LinregRecipe(),
+                                        MtnetRecipe(TrainConfig(max_iterations=2))],
+                             ids=["gnb", "linreg", "mtnet"])
+    def test_non_finite_test_row_raises(self, recipe):
+        train, test = fold_pair()
+        test.x[2, 5] = np.nan
+        with pytest.raises(ValueError, match=r"^features must be finite: row 2, column 5 is nan$"):
+            recipe.run_fold(train, test, seed=0)
+
+    def test_knn_names_the_training_row_before_z_scoring(self):
+        train, test = fold_pair()
+        train.x[7, 2] = np.nan
+        with pytest.raises(ValueError, match=r"^features must be finite: row 7, column 2 is nan$"):
+            KnnRecipe(k=3).run_fold(train, test, seed=0)
 
 
 # What each entry of a recipe's ``produces`` puts in the aggregate: scalars,
