@@ -18,6 +18,8 @@ and its parent directory must already exist.
 
 import csv
 import json
+import math
+import numbers
 import operator
 import os
 import shutil
@@ -51,7 +53,8 @@ class CorpusLoadError(ValueError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Geometry and range of one sensor mat."""
+    """Geometry and range of one sensor mat. Row and column counts are
+    positive ints (not bools); the ceiling and frame rate finite positive floats."""
 
     rows: int
     cols: int
@@ -59,12 +62,16 @@ class GridSpec:
     frame_rate_hz: float
 
     def __post_init__(self):
-        if self.rows <= 0 or self.cols <= 0:
-            raise ValueError(f"grid must be non-empty, got {self.rows}x{self.cols}")
-        if not (self.sensor_ceiling > 0):
-            raise ValueError(f"sensor_ceiling must be positive, got {self.sensor_ceiling}")
-        if not (self.frame_rate_hz > 0):
-            raise ValueError(f"frame_rate_hz must be positive, got {self.frame_rate_hz}")
+        for name in ("rows", "cols"):
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n <= 0:
+                raise ValueError(f"{name} must be a positive integer, got {n!r}")
+            object.__setattr__(self, name, int(n))
+        for name in ("sensor_ceiling", "frame_rate_hz"):
+            x = getattr(self, name)
+            if isinstance(x, bool) or not isinstance(x, numbers.Real) or not 0 < x < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {x!r}")
+            object.__setattr__(self, name, float(x))
 
     @property
     def n_cells(self) -> int:
@@ -384,8 +391,7 @@ def load_corpus(root_path: str) -> Corpus:
 
     def parse_manifest(doc):  # keys such as provenance are ignored
         check_keys(doc, MANIFEST_KEYS)
-        grid = GridSpec(int(doc["rows"]), int(doc["cols"]), float(doc["sensor_ceiling"]),
-                        float(doc["frame_rate_hz"]))
+        grid = GridSpec(doc["rows"], doc["cols"], doc["sensor_ceiling"], doc["frame_rate_hz"])
         mask = check_mask(doc["feature_mask"])
         if len(mask) != FEATURE_COUNT:
             raise ValueError(f"feature_mask must have {FEATURE_COUNT} entries")

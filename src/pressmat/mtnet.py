@@ -50,6 +50,7 @@ class BmiClassHead:
 
     weight: np.ndarray  # (256, n_classes)
     bias: np.ndarray    # (n_classes,)
+    train_result: lbfgs.MinimizeResult | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -316,7 +317,7 @@ def fit_bmi_class_head(
         memory=LBFGS_MEMORY, grad_tol=GRAD_TOL, loss_tol=1e-16,
     )
     (w,), (b,) = _unpack(result.x, dims)
-    head = BmiClassHead(weight=w.copy(), bias=b.copy())
+    head = BmiClassHead(weight=w.copy(), bias=b.copy(), train_result=result)
     model.class_head = head
     return head
 

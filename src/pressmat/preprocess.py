@@ -98,12 +98,11 @@ def temporal_gaussian(
 
     kernel = gaussian_kernel(window, sigma)
     c, n = window // 2, len(session)
-    stack = np.stack([f.values for f in session])  # (T, R, C)
-    padded = np.pad(stack, ((c, c), (0, 0), (0, 0)), mode="symmetric")
-    smoothed = kernel[c] * stack
+    padded = np.pad(np.stack([f.values for f in session]), [(c, c), (0, 0), (0, 0)], "symmetric")
+    smoothed = kernel[c] * padded[c:c + n]
     for j in range(c, 0, -1):
         smoothed += kernel[c - j] * (padded[c - j:c - j + n] + padded[c + j:c + j + n])
-    smoothed = np.clip(smoothed, 0.0, session[0].grid.sensor_ceiling)
+    np.clip(smoothed, 0.0, session[0].grid.sensor_ceiling, out=smoothed)
     return [replace(f, values=smoothed[t]) for t, f in enumerate(session)]
 
 
@@ -128,11 +127,12 @@ def denoise_corpus(
     """Full pipeline over a corpus: median first, temporal Gaussian second.
 
     Both windows and the sigma are checked before the first frame is filtered.
+    It works one session at a time, so it holds at most one session beside its output.
     """
     _check_odd_window("median", median_window)
     gaussian_kernel(gaussian_window, gaussian_sigma)
-    filtered = [median_filter(f, median_window) for f in corpus.frames]
     out: list[PressureFrame] = []
-    for session in split_sessions(filtered):
-        out.extend(temporal_gaussian(session, gaussian_window, gaussian_sigma))
+    for session in split_sessions(corpus.frames):
+        out.extend(temporal_gaussian([median_filter(f, median_window) for f in session],
+                                     gaussian_window, gaussian_sigma))
     return replace(corpus, frames=tuple(out))

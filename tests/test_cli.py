@@ -106,6 +106,15 @@ class TestSynth:
         assert code != 0
         assert "error" in capsys.readouterr().err
 
+    def test_infinite_ceiling_fails_before_writing(self, tmp_path, capsys):
+        out = str(tmp_path / "c")
+        code = run(["synth", "--subjects", "2", "--frames-per-subject", "1",
+                    "--ceiling", "inf", "--seed", "1", "--out", out])
+        assert code != 0
+        assert capsys.readouterr().err == (
+            "pressmat synth: error: sensor_ceiling must be finite and positive, got inf\n")
+        assert not os.path.exists(out)
+
     def test_no_partial_output_on_failure(self, tmp_path):
         out = str(tmp_path / "c")
         run([

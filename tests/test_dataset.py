@@ -1,6 +1,8 @@
 import csv
 import errno
+import json
 import os
+import re
 import stat
 
 import numpy as np
@@ -88,6 +90,24 @@ class TestTypes:
             GridSpec(0, 4, 100.0, 1.0)
         with pytest.raises(ValueError):
             GridSpec(4, 4, -1.0, 1.0)
+
+    @pytest.mark.parametrize("args, message", [
+        ((4.7, 4, 100.0, 1.0), "rows must be a positive integer, got 4.7"),
+        ((4, True, 100.0, 1.0), "cols must be a positive integer, got True"),
+        ((4, 4, float("inf"), 1.0), "sensor_ceiling must be finite and positive, got inf"),
+        ((4, 4, 100.0, float("nan")), "frame_rate_hz must be finite and positive, got nan"),
+        ((4, 4, True, 1.0), "sensor_ceiling must be finite and positive, got True"),
+        ((4, 4, "100", 1.0), "sensor_ceiling must be finite and positive, got '100'"),
+    ], ids=["float-rows", "bool-cols", "inf-ceiling", "nan-rate", "bool-ceiling", "str-ceiling"])
+    def test_grid_numbers_checked(self, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GridSpec(*args)
+
+    def test_grid_numbers_normalised(self):
+        grid = GridSpec(np.int64(4), 2, np.float32(100.0), 3)
+        assert grid == GridSpec(4, 2, 100.0, 3.0)
+        assert [type(v) for v in (grid.rows, grid.sensor_ceiling, grid.frame_rate_hz)] == [
+            int, float, float]
 
     def test_frame_bounds(self):
         grid = GridSpec(2, 2, 100.0, 1.0)
@@ -219,6 +239,23 @@ class TestLoadErrors:
         root = self._write(tmp_path, tiny_corpus)
         os.unlink(os.path.join(root, "subjects.csv"))
         with pytest.raises(CorpusLoadError, match="subjects.csv"):
+            load_corpus(root)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("rows", 4.7, "rows must be a positive integer, got 4.7"),
+        ("rows", True, "rows must be a positive integer, got True"),
+        ("sensor_ceiling", float("inf"), "sensor_ceiling must be finite and positive, got inf"),
+    ], ids=["float-rows", "bool-rows", "inf-ceiling"])
+    def test_manifest_grid_numbers_checked(self, tiny_corpus, tmp_path, key, value, message):
+        root = self._write(tmp_path, tiny_corpus)
+        path = os.path.join(root, "manifest.json")
+        with open(path) as fh:
+            doc = json.load(fh)
+        doc[key] = value
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        want = re.escape(f"{path}: not a corpus manifest: {message}") + "$"
+        with pytest.raises(CorpusLoadError, match=want):
             load_corpus(root)
 
     def test_unknown_subject_cites_line(self, tiny_corpus, tmp_path):

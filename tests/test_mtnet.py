@@ -314,6 +314,19 @@ class TestBmiClassHead:
         pred = predict_bmi_class(model, X)
         assert (pred == labels).mean() == 1.0
 
+    def test_fit_keeps_its_optimizer_result_out_of_the_file(self, tmp_path):
+        model, X, labels = self._trained()
+        head = fit_bmi_class_head(model, X, labels)
+        result = head.train_result
+        assert result.stop_reason == "grad_tol" and result.n_iterations >= 1
+        assert result.grad_norm <= mtnet.GRAD_TOL
+        model.feature_mask = (True,) * X.shape[1] + (False,) * (14 - X.shape[1])
+        save_model(model, str(tmp_path / "with.json"))
+        head.train_result = None
+        save_model(model, str(tmp_path / "without.json"))
+        assert (tmp_path / "with.json").read_bytes() == (tmp_path / "without.json").read_bytes()
+        assert load_model(str(tmp_path / "with.json")).class_head.train_result is None
+
     def test_missing_class_named(self):
         model, X, labels = self._trained()
         bad = labels.copy()

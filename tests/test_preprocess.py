@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from pressmat import preprocess
+from pressmat.dataset import Corpus, GridSpec
 from pressmat.preprocess import (
     denoise_corpus,
     gaussian_kernel,
@@ -15,7 +17,9 @@ from pressmat.preprocess import (
     temporal_gaussian,
 )
 
-from conftest import make_frame
+from pressmat.synthgen import NoiseSpec, generate_corpus
+
+from conftest import make_frame, make_subject
 
 
 def nanmedian_oracle(values, window, ceiling):
@@ -289,3 +293,56 @@ class TestCorpusPipeline:
         # constant frames pass through both filters unchanged
         const = make_frame(np.full((4, 4), 3.0))
         assert np.allclose(median_filter(const).values, 3.0)
+
+
+class TestPerSessionDenoiser:
+    """``denoise_corpus`` filters one session at a time; the two-pass form
+    (median over every frame, then the Gaussian over each run of the filtered
+    frames) is its reference."""
+
+    @staticmethod
+    def two_pass_reference(corpus, median_window, gaussian_window):
+        filtered = [median_filter(f, median_window) for f in corpus.frames]
+        return [f for run in split_sessions(filtered)
+                for f in temporal_gaussian(run, gaussian_window)]
+
+    @pytest.mark.parametrize("gaussian_window", [5, 9])
+    @pytest.mark.parametrize("median_window", [1, 3, 5])
+    def test_bit_equal_to_two_pass_reference(self, median_window, gaussian_window):
+        # S01 posture 1 breaks at an index gap into runs of 6 and 2 frames,
+        # S01 posture 2 is one frame, S02 posture 1 is 7 frames. With a
+        # 9-tap window the 2- and 1-frame runs are shorter than its half-window.
+        grid = GridSpec(6, 7, 1000.0, 1.5)
+        keys = ([("S01", 1, i) for i in (0, 1, 2, 3, 4, 5, 8, 9)] + [("S01", 2, 0)]
+                + [("S02", 1, i) for i in range(7)])
+        rng = np.random.default_rng(5)
+        frames = tuple(make_frame(rng.uniform(0, 1000, (6, 7)), grid, s, p, i)
+                       for s, p, i in keys)
+        corpus = Corpus(grid, {s: make_subject(s) for s in ("S01", "S02")}, frames)
+        assert [len(run) for run in split_sessions(corpus.frames)] == [6, 2, 1, 7]
+
+        got = denoise_corpus(corpus, median_window, gaussian_window).frames
+        want = self.two_pass_reference(corpus, median_window, gaussian_window)
+        assert [f.key for f in got] == [f.key for f in want] == keys
+        for g, w in zip(got, want):
+            assert g.values.tobytes() == w.values.tobytes(), g.key
+
+    def test_peak_allocation_below_twice_the_output(self):
+        # 4 subjects x 3 postures x 20 frames on 16 x 32: 12 sessions of 20
+        # frames. Holding a median-filtered copy of the whole corpus beside
+        # the output would put the peak above 2.5x the output.
+        corpus = generate_corpus(
+            n_subjects=4, frames_per_subject=60, postures=("supine", "left", "right"),
+            noise=NoiseSpec(0.05, 0.01, 0.3), grid=GridSpec(16, 32, 1000.0, 1.5), seed=11)
+        assert len(split_sessions(corpus.frames)) == 12
+        denoise_corpus(corpus)  # fills the median plan's cache outside the measurement
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = denoise_corpus(corpus)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        ratio = peak / sum(f.values.nbytes for f in out.frames)
+        print(f"denoise_corpus peak traced allocation {ratio:.2f}x its output")
+        assert ratio < 2.0

@@ -7,9 +7,11 @@ scorecard = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(scorecard)
 
 PER_SEED = {
-    *(f"{corpus}/{name}" for corpus in ("raw", "clean")
+    *(f"{corpus}/{name}" for corpus in ("raw", "clean", "clean_m5")
       for name in ("manifest.json", "subjects.csv", "frames.csv")),
-    "features.csv", "features.csv.meta.json", "model.json",
+    *(f"{table}{ext}" for table in ("features.csv", "features_m5.csv")
+      for ext in ("", ".meta.json")),
+    "model.json",
     *(f"eval_{r}.{ext}" for r in ("mtnet", "knn", "gnb", "linreg") for ext in ("json", "csv")),
     *(f"importance_{r}.json" for r in ("knn", "gnb", "linreg")),
 }

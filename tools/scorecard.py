@@ -1,10 +1,11 @@
 """Scorecard: one SHA-256 per output of a fixed CLI run set, and source lines.
 
 For each seed it runs, on a tiny synthetic cohort at one BLAS thread:
-synth -> preprocess -> features; eval of the four recipes (mtnet at
---max-iter 30) with --per-fold-csv; importance of knn, gnb and linreg; and
-train --max-iter 30. It prints one digest per output file, one over all of
-them, and the lines of each module under src/ and of this script:
+synth -> preprocess -> features, and preprocess --median-window 5 ->
+features; eval of the four recipes (mtnet at --max-iter 30) with
+--per-fold-csv; importance of knn, gnb and linreg; and train --max-iter 30.
+It prints one digest per output file, one over all of them, and the lines
+of each module under src/ and of this script:
 
     python tools/scorecard.py
 
@@ -36,6 +37,8 @@ def commands(seed: int, subjects: int, frames: int) -> list[list[str]]:
          "--seed", str(seed), "--out", f"{d}/raw"],
         ["preprocess", "--in", f"{d}/raw", "--out", f"{d}/clean"],
         ["features", "--in", f"{d}/clean", "--out", f"{d}/features.csv"],
+        ["preprocess", "--in", f"{d}/raw", "--out", f"{d}/clean_m5", "--median-window", "5"],
+        ["features", "--in", f"{d}/clean_m5", "--out", f"{d}/features_m5.csv"],
         *(["eval", "--recipe", r, *fit, "--report-out", f"{d}/eval_{r}.json",
            "--per-fold-csv", f"{d}/eval_{r}.csv"] for r in ("mtnet", "knn", "gnb", "linreg")),
         *(["importance", "--recipe", r, *fit, "--out", f"{d}/importance_{r}.json"]
