@@ -8,6 +8,7 @@ cross-validation against classical baselines.
 """
 
 from .dataset import (
+    FEATURE_NAMES,
     Corpus,
     CorpusLoadError,
     GridSpec,
@@ -19,7 +20,6 @@ from .dataset import (
     save_corpus,
 )
 from .features import (
-    FEATURE_NAMES,
     FeatureTable,
     Isoline,
     extract_all,

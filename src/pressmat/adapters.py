@@ -28,6 +28,7 @@ import zlib
 import numpy as np
 
 from .dataset import (
+    FEATURE_NAMES,
     Corpus,
     GridSpec,
     PressureFrame,
@@ -41,7 +42,7 @@ PMATDATA_GRID = GridSpec(rows=32, cols=64, sensor_ceiling=1000.0, frame_rate_hz=
 HRLROS_GRID = GridSpec(rows=27, cols=64, sensor_ceiling=1024.0, frame_rate_hz=1.0)
 
 # max and range carry no information once frames are pre-normalized
-HRLROS_FEATURE_MASK = tuple(i not in (0, 2) for i in range(14))
+HRLROS_FEATURE_MASK = tuple(name not in ("max", "range") for name in FEATURE_NAMES)
 
 SESSION_GAP = 2  # frame-index gap separating merged recordings
 
@@ -185,10 +186,12 @@ def ingest_hrlros(
             )
         if len(postures) != len(raw_frames):
             raise ValueError(f"{path}: posture_ids length mismatch")
-        counters: dict[int, int] = {}
+        # a posture run resumed after another starts after a gap, as in ingest_pmatdata
+        run_ends = np.append(postures[1:] != postures[:-1], True).tolist()
+        next_index: dict[int, int] = {}
         for i in range(len(raw_frames)):
             pid = int(postures[i])
-            idx = counters.get(pid, 0)
+            idx = next_index.get(pid, 0)
             try:
                 frames.append(
                     PressureFrame(
@@ -201,7 +204,7 @@ def ingest_hrlros(
                 )
             except ValueError as e:
                 raise ValueError(f"{path}: frame {i}: {e}") from e
-            counters[pid] = idx + 1
+            next_index[pid] = idx + 1 + SESSION_GAP * run_ends[i]
 
     return Corpus(
         grid=grid,

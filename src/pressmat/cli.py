@@ -161,11 +161,10 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iter", type=int, default=14500)
 
 
-def _add_cv_flags(p: argparse.ArgumentParser, **recipe) -> None:
-    """Flags shared by eval and importance; ``recipe`` says whether --recipe
-    is required or its default."""
+def _add_cv_flags(p: argparse.ArgumentParser) -> None:
+    """Flags shared by eval and importance."""
     p.add_argument("--features", required=True)
-    p.add_argument("--recipe", choices=("mtnet", "knn", "gnb", "linreg"), **recipe)
+    p.add_argument("--recipe", choices=("mtnet", "knn", "gnb", "linreg"), required=True)
     p.add_argument("--folds", type=int, default=10)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--knn-k", type=int, default=10)
@@ -229,14 +228,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="10-fold cross-validation of a recipe")
-    _add_cv_flags(p, required=True)
+    _add_cv_flags(p)
     p.add_argument("--report-out", required=True)
     p.add_argument("--per-fold-csv", default=None,
                    help="also write flat per-fold metrics for plotting tools")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("importance", help="drop-column feature importance")
-    _add_cv_flags(p, default="mtnet")
+    _add_cv_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_importance)
 

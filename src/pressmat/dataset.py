@@ -29,8 +29,26 @@ from importlib import resources
 
 import numpy as np
 
-# Number of canonical per-frame features; the names live in features.py.
-FEATURE_COUNT = 14
+# The canonical per-frame features, in order; features.py computes them.
+FEATURE_NAMES = (
+    "max",
+    "mode",
+    "range",
+    "entropy",
+    "mean",
+    "variance",
+    "skewness",
+    "kurtosis",
+    "nonzero_count",
+    "count_20_60",
+    "count_60_100",
+    "count_above_100",
+    "num_isolines",
+    "isoline_coord_sum",
+)
+FEATURE_COUNT = len(FEATURE_NAMES)
+FULL_MASK = (True,) * FEATURE_COUNT
+MIN_FEATURES = 12  # a dataset provides at least this many of the features
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_KEYS = ["rows", "cols", "sensor_ceiling", "frame_rate_hz", "feature_mask"]
@@ -145,22 +163,17 @@ class Corpus:
 
     Frames are sorted by ``(subject_id, posture_id, frame_index)`` on
     construction. The feature mask flags which of the 14 canonical features a
-    dataset provides (at least 12 must be on).
+    dataset provides; :func:`check_mask` checks it.
     """
 
     grid: GridSpec
     subjects: dict[str, SubjectRecord]
     frames: tuple[PressureFrame, ...]
-    feature_mask: tuple[bool, ...] = (True,) * FEATURE_COUNT
+    feature_mask: tuple[bool, ...] = FULL_MASK
     name: str = "corpus"
 
     def __post_init__(self):
-        mask = tuple(bool(b) for b in self.feature_mask)
-        if len(mask) != FEATURE_COUNT:
-            raise ValueError(f"feature_mask must have {FEATURE_COUNT} entries")
-        if sum(mask) < 12:
-            raise ValueError("feature_mask must keep at least 12 features")
-        object.__setattr__(self, "feature_mask", mask)
+        object.__setattr__(self, "feature_mask", check_mask(self.feature_mask))
         for sid, rec in self.subjects.items():
             if sid != rec.subject_id:
                 raise ValueError(f"subjects dict key {sid!r} != record id {rec.subject_id!r}")
@@ -311,11 +324,19 @@ def check_keys(doc, required=(), allowed=None) -> dict:
     return doc
 
 
-def check_mask(value) -> tuple[bool, ...]:
-    """``value`` as a tuple, once it is a JSON array of booleans."""
-    if isinstance(value, list) and all(isinstance(b, bool) for b in value):
-        return tuple(value)
-    raise ValueError("feature_mask must be an array of JSON booleans")
+def check_mask(value, kept: int | None = None) -> tuple[bool, ...]:
+    """``value`` as a tuple of Python bools, once it is a list, tuple or array of
+    ``FEATURE_COUNT`` booleans (Python or numpy, not ints or strings), at least
+    ``MIN_FEATURES`` true, and ``kept`` true if given (a model keeps one per
+    input). Every mask that crosses a boundary passes here; else one ValueError."""
+    items = value.tolist() if isinstance(value, np.ndarray) else value
+    if not (isinstance(items, (list, tuple)) and len(items) == FEATURE_COUNT
+            and all(isinstance(b, (bool, np.bool_)) for b in items)
+            and MIN_FEATURES <= sum(items) and kept in (None, sum(items))):
+        per_input = "" if kept is None else f" and one per model input ({kept})"
+        raise ValueError(f"feature_mask must be {FEATURE_COUNT} booleans, at least "
+                         f"{MIN_FEATURES} of them true{per_input}: got {value!r}")
+    return tuple(map(bool, items))
 
 
 def save_corpus(corpus: Corpus, root_path: str, extra_manifest: dict | None = None) -> None:
@@ -392,10 +413,7 @@ def load_corpus(root_path: str) -> Corpus:
     def parse_manifest(doc):  # keys such as provenance are ignored
         check_keys(doc, MANIFEST_KEYS)
         grid = GridSpec(doc["rows"], doc["cols"], doc["sensor_ceiling"], doc["frame_rate_hz"])
-        mask = check_mask(doc["feature_mask"])
-        if len(mask) != FEATURE_COUNT:
-            raise ValueError(f"feature_mask must have {FEATURE_COUNT} entries")
-        return grid, mask, str(doc.get("name", "corpus"))
+        return grid, check_mask(doc["feature_mask"]), str(doc.get("name", "corpus"))
 
     grid, mask, name = read_json(manifest_path, "corpus manifest", parse_manifest,
                                  CorpusLoadError)

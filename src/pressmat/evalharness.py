@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import baselines, mtnet
-from .dataset import atomic_write_text, check_keys, read_json, write_json
-from .features import FEATURE_NAMES, FeatureTable
+from .dataset import FEATURE_NAMES, atomic_write_text, check_keys, read_json, write_json
+from .features import FeatureTable
 
 
 @dataclass(frozen=True)

@@ -19,33 +19,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import baselines
-from .dataset import (
-    BMI_BAND, FEATURE_COUNT, FRAME_KEY, Corpus, PressureFrame, read_csv, write_csv,
+from .dataset import (  # features.FEATURE_NAMES stays importable
+    BMI_BAND, FEATURE_COUNT, FEATURE_NAMES, FRAME_KEY, FULL_MASK, Corpus, PressureFrame,
+    check_mask, read_csv, write_csv,
 )
-
-FEATURE_NAMES = (
-    "max",
-    "mode",
-    "range",
-    "entropy",
-    "mean",
-    "variance",
-    "skewness",
-    "kurtosis",
-    "nonzero_count",
-    "count_20_60",
-    "count_60_100",
-    "count_above_100",
-    "num_isolines",
-    "isoline_coord_sum",
-)
-assert len(FEATURE_NAMES) == FEATURE_COUNT
 
 TAU_1, TAU_2, TAU_3 = 20.0, 60.0, 100.0
 ENTROPY_BINS = 256
 MAX_CONTOUR_LEVELS = 20
-
-FULL_MASK = (True,) * FEATURE_COUNT
 
 
 def rounded_mode(values: np.ndarray) -> float:
@@ -114,23 +95,14 @@ def select_contour_levels(frame: PressureFrame) -> np.ndarray:
     v = frame.values
     vmin = float(v.min())
     vmax = float(v.max())
-    if vmax == vmin:
-        return np.empty(0)
-    spread = vmax - vmin
     for step in _step_ladder():
-        if MAX_CONTOUR_LEVELS * step >= spread:
+        if MAX_CONTOUR_LEVELS * step >= vmax - vmin:
             break
-    k_lo = math.floor(vmin / step) + 1
-    while (k_lo - 1) * step > vmin:  # float guard
-        k_lo -= 1
-    while k_lo * step <= vmin:
-        k_lo += 1
-    k_hi = math.floor(vmax / step)
-    while k_hi * step > vmax:
-        k_hi -= 1
-    if k_hi < k_lo:
-        return np.empty(0)
-    return step * np.arange(k_lo, k_hi + 1, dtype=np.float64)
+    # the quotients may round by an ulp either way, so the range holds one
+    # candidate more at each end and the comparisons decide
+    levels = step * np.arange(math.floor(vmin / step), math.floor(vmax / step) + 2,
+                              dtype=np.float64)
+    return levels[(levels > vmin) & (levels <= vmax)]
 
 
 @dataclass(frozen=True)
@@ -272,8 +244,7 @@ def extract_contour_features(frame: PressureFrame) -> tuple[int, float]:
 
 def extract_all(frame: PressureFrame, mask: tuple[bool, ...] = FULL_MASK) -> np.ndarray:
     """All 14 features in canonical order; masked entries are NaN markers."""
-    if len(mask) != FEATURE_COUNT:
-        raise ValueError(f"mask must have {FEATURE_COUNT} entries")
+    mask = check_mask(mask)
     out = np.full(FEATURE_COUNT, np.nan)
     out[:12] = extract_statistical(frame)
     if mask[12] or mask[13]:
@@ -358,7 +329,9 @@ FEATURES_CSV_HEADER = FRAME_KEY + [f"f{i}" for i in range(FEATURE_COUNT)] + ["bm
 
 
 def save_feature_table(table: FeatureTable, path: str) -> None:
-    """Write features.csv atomically; masked features become empty cells."""
+    """Write features.csv atomically, masked features as empty cells; the mask
+    must pass :func:`dataset.check_mask`, as the loader requires."""
+    check_mask(table.mask)
     rows = zip(table.subject_ids, table.posture_ids, table.frame_indices, table.X, table.bmi)
     write_csv(path, FEATURES_CSV_HEADER, (
         [str(sid), str(int(posture)), str(int(index)),
@@ -372,24 +345,25 @@ _FeatureRow = namedtuple("_FeatureRow", FRAME_KEY + ["values", "bmi"])
 def load_feature_table(path: str) -> FeatureTable:
     """Read features.csv; a uniformly empty feature column is a masked feature.
 
-    Every row must leave the same feature cells empty as the first data row,
-    every non-empty feature cell must be finite, every BMI inside
-    ``BMI_BAND``, all of a subject's rows must state the same BMI, and no
-    ``(subject_id, posture_id, frame_index)`` key may repeat.
+    The first data row's mask must pass :func:`dataset.check_mask` and every row
+    must leave the same cells empty; every non-empty feature cell must be finite,
+    every BMI inside ``BMI_BAND``, all of a subject's rows must state the same
+    BMI, and no ``(subject_id, posture_id, frame_index)`` key may repeat.
     """
     lo, hi = BMI_BAND
     first_bmi: dict[str, tuple[float, int]] = {}
-    first_empty: dict = {}  # the first data row's empty-cell pattern and line
+    first: dict = {}  # the first data row's empty cells, line and mask
 
     def parse(row, line):
         sid, posture, index = row[0], int(row[1]), int(row[2])
         cells = row[3:-1]
         empty = [c == "" for c in cells]
-        want, want_line = first_empty.setdefault("row", (empty, line))
-        if empty != want:
-            bad = [FEATURE_NAMES[i] for i in range(FEATURE_COUNT) if empty[i] != want[i]]
+        if not first:
+            first.update(empty=empty, line=line, mask=check_mask([not e for e in empty]))
+        if empty != first["empty"]:
+            bad = [n for n, e, want in zip(FEATURE_NAMES, empty, first["empty"]) if e != want]
             raise ValueError(f"features {bad} are only partially present: "
-                             f"empty cells differ from line {want_line}")
+                             f"empty cells differ from line {first['line']}")
         values = [float(c) if c != "" else np.nan for c in cells]
         if not all(map(math.isfinite, values)):  # empty (masked) cells are NaN
             for c, v in zip(cells, values):
@@ -408,12 +382,11 @@ def load_feature_table(path: str) -> FeatureTable:
     rows = read_csv(path, FEATURES_CSV_HEADER, parse, FRAME_KEY)
     sids, postures, indices, x, bmi = zip(*rows) if rows else [()] * 5
     x = np.asarray(x, dtype=np.float64).reshape(-1, FEATURE_COUNT)
-    mask = tuple(bool(b) for b in ~np.isnan(x[0])) if len(x) else FULL_MASK
     return FeatureTable(
         subject_ids=np.array(sids),
         posture_ids=np.array(postures, dtype=int),
         frame_indices=np.array(indices, dtype=int),
         X=x,
         bmi=np.array(bmi),
-        mask=mask,
+        mask=first.get("mask", FULL_MASK),
     )

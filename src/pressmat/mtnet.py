@@ -234,17 +234,19 @@ def train(
 
     ``subjects`` holds one label per row, of any kind ``np.unique`` sorts
     (subject names, or integer ids); ``np.unique``'s order is the identity
-    class order. Features and BMI must be finite, with one BMI per row;
-    anything else raises ValueError. Training is bit-deterministic given
-    (data, config, seed) only on one machine at one BLAS thread count: the
-    thread count changes the summation order inside matrix products, and the
-    trajectory drifts from there (a one-input fit with identity labels
-    unrelated to the input, at seed 1 and capped at 400 iterations, reached
-    BMI R^2 0.99890 with two OpenBLAS threads and 0.99924 with one).
+    class order. Features and BMI must be finite, with one BMI per row, and a
+    ``feature_mask`` keeps one feature per column; anything else raises
+    ValueError. Training is bit-deterministic given (data, config, seed) only
+    on one machine at one BLAS thread count: the thread count changes the
+    summation order inside matrix products, and the trajectory drifts from
+    there (a one-input fit with identity labels unrelated to the input, at
+    seed 1 and capped at 400 iterations, reached BMI R^2 0.99890 with two
+    OpenBLAS threads and 0.99924 with one).
     """
     x = check_finite(features)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValueError("features must be a non-empty 2-D array")
+    feature_mask = None if feature_mask is None else check_mask(feature_mask, x.shape[1])
     bmi = check_finite(bmi, "BMI")
     if bmi.shape != (len(x),):
         raise ValueError(f"bmi needs one entry per row: shape {bmi.shape} for {len(x)} rows")
@@ -277,7 +279,7 @@ def train(
         subject_ids=subject_ids,
         norm_mean=mean,
         norm_std=std,
-        feature_mask=tuple(feature_mask) if feature_mask is not None else None,
+        feature_mask=feature_mask,
         config=config,
         train_result=result,
     )
@@ -380,7 +382,8 @@ def load_model(path: str) -> MultitaskModel:
             subject_ids=tuple(doc["subject_ids"]),
             norm_mean=np.asarray(doc["norm_mean"], dtype=np.float64),
             norm_std=np.asarray(doc["norm_std"], dtype=np.float64),
-            feature_mask=None if doc["feature_mask"] is None else check_mask(doc["feature_mask"]),
+            feature_mask=None if doc["feature_mask"] is None
+            else check_mask(doc["feature_mask"], len(doc["norm_mean"])),
             config=TrainConfig(**check_keys(doc["config"], ["max_iterations", "seed"], ())),
             class_head=head,
         )

@@ -7,11 +7,13 @@ import pytest
 from pressmat.adapters import (
     HRLROS_FEATURE_MASK,
     PMATDATA_GRID,
+    SESSION_GAP,
     ingest_hrlros,
     ingest_pmatdata,
     read_subjects_csv,
 )
 from pressmat.dataset import GridSpec, merge_postures
+from pressmat.preprocess import split_sessions
 
 
 def write_pmatdata_tree(root, n_subjects=2, postures=(1, 2, 11), frames=3,
@@ -107,6 +109,15 @@ class TestHrlros:
         assert len(corpus.frames) == 5
         idx = [(f.posture_id, f.frame_index) for f in corpus.frames]
         assert idx == [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]
+
+    def test_resumed_posture_run_starts_after_a_gap(self, tmp_path):
+        root = str(tmp_path)
+        self._write_npz(root, "H01", np.zeros((6, 27, 64)), np.array([1, 1, 2, 2, 1, 1]))
+        corpus = ingest_hrlros(root)
+        idx = [(f.posture_id, f.frame_index) for f in corpus.frames]
+        gap = 2 + SESSION_GAP  # as after a merged PmatData recording
+        assert idx == [(1, 0), (1, 1), (1, gap), (1, gap + 1), (2, 0), (2, 1)]
+        assert [len(s) for s in split_sessions(corpus.frames)] == [2, 2, 2]
 
     def test_bad_shape_rejected(self, tmp_path):
         root = str(tmp_path)

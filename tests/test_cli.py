@@ -29,6 +29,13 @@ def test_build_recipe_names():
         parser.parse_args(base + ["--recipe", "svm"])
 
 
+def test_importance_needs_a_recipe(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["importance", "--features", "f.csv", "--seed", "1", "--out", "i.json"])
+    assert info.value.code == 2
+    assert "--recipe" in capsys.readouterr().err
+
+
 def readme_cli_commands() -> list[list[str]]:
     """Arguments of every `pressmat ...` command in README.md's CLI block.
 
@@ -164,6 +171,20 @@ class TestPipeline:
         assert code != 0
         err = capsys.readouterr().err
         assert "S0" in err
+
+    def test_eval_of_a_table_without_features_fails_naming_the_line(
+            self, small_pipeline, tmp_path, capsys):
+        *_, feats = small_pipeline
+        header, *rows = pathlib.Path(feats).read_text().splitlines()
+        blank = tmp_path / "blank.csv"
+        blank.write_text("\n".join([header] + [
+            ",".join(f[:3] + [""] * 14 + f[-1:]) for f in (r.split(",") for r in rows)]))
+        report_path = tmp_path / "r.json"
+        assert run(["eval", "--features", str(blank), "--recipe", "knn", "--folds", "3",
+                    "--seed", "3", "--report-out", str(report_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"pressmat eval: error: {blank}: line 2: feature_mask must be ")
+        assert not report_path.exists()
 
     def test_knn_k_above_the_training_fold_fails(self, small_pipeline, tmp_path, capsys):
         *_, feats = small_pipeline

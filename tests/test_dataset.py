@@ -1,7 +1,9 @@
 import csv
+import dataclasses
 import errno
 import json
 import os
+import pathlib
 import re
 import stat
 
@@ -28,7 +30,7 @@ from pressmat.dataset import (
 from pressmat.adapters import read_subjects_csv
 from pressmat.evalharness import EvaluationReport
 from pressmat.features import (
-    FEATURE_NAMES, extract_table, load_feature_table, save_feature_table,
+    FEATURE_NAMES, extract_all, extract_table, load_feature_table, save_feature_table,
 )
 
 from conftest import make_frame, make_subject
@@ -425,6 +427,113 @@ class TestLoaderErrorsCiteLines:
         path.write_text(header + "\nS1,70,30\n")
         with pytest.raises(ValueError, match=rf"raw\.csv: line 1: {want}$"):
             read_subjects_csv(str(path))
+
+
+ELEVEN_KEPT = (False,) * 3 + (True,) * 11
+RULE = "feature_mask must be 14 booleans, at least 12 of them true"
+MASK_RULE, PER_INPUT = RULE + ": got ", RULE + " and one per model input (14): got "
+
+
+def _blank_features(tiny_corpus, tmp_path, names):
+    """features.csv of ``tiny_corpus`` with the columns ``names`` blank on every row."""
+    path, rows = TestLoaderErrorsCiteLines._feature_rows(tiny_corpus, tmp_path)
+    for row in rows[1:]:
+        for name in names:
+            row[3 + FEATURE_NAMES.index(name)] = ""
+    TestLoaderErrorsCiteLines._write_rows(path, rows)
+    return str(path), lambda: load_feature_table(str(path))
+
+
+def _edited_model(tiny_corpus, tmp_path, mask):
+    """model.json of a 14-input model whose stored mask is replaced by ``mask``."""
+    table = extract_table(tiny_corpus)
+    model = mtnet.train(table.active_matrix(), table.subject_ids, table.bmi,
+                        mtnet.TrainConfig(max_iterations=1), feature_mask=table.mask)
+    path = str(tmp_path / "model.json")
+    mtnet.save_model(model, path)
+    doc = json.loads(pathlib.Path(path).read_text())
+    doc["feature_mask"] = mask
+    write_json(path, doc)
+    return path, lambda: mtnet.load_model(path)
+
+
+def _manifest(tiny_corpus, tmp_path):
+    root = str(tmp_path / "c")
+    save_corpus(tiny_corpus, root)
+    path = os.path.join(root, "manifest.json")
+    doc = json.loads(pathlib.Path(path).read_text())
+    doc["feature_mask"] = list(ELEVEN_KEPT)
+    write_json(path, doc)
+    return path, lambda: load_corpus(root)
+
+
+def _corpus(tiny_corpus, mask):
+    return lambda: Corpus(grid=tiny_corpus.grid, subjects=tiny_corpus.subjects,
+                          frames=tiny_corpus.frames, feature_mask=mask)
+
+
+def _saved_table(tiny_corpus, tmp_path):
+    table = dataclasses.replace(extract_table(tiny_corpus), mask=ELEVEN_KEPT)
+    path = tmp_path / "features.csv"
+
+    def save():
+        try:
+            save_feature_table(table, str(path))
+        finally:
+            assert not path.exists()  # nothing is written
+    return save
+
+
+def _trained(tiny_corpus, mask):
+    table = extract_table(tiny_corpus)
+    return lambda: mtnet.train(table.active_matrix(), table.subject_ids, table.bmi,
+                               mtnet.TrainConfig(max_iterations=1), feature_mask=mask)
+
+
+# case -> (tiny_corpus, tmp_path) -> (the file the error names and its prefix
+#     after the path, or None; the call through that boundary; the message)
+MASK_BOUNDARIES = {
+    "Corpus-11-kept": lambda c, t: (None, _corpus(c, ELEVEN_KEPT), MASK_RULE),
+    "Corpus-ints": lambda c, t: (None, _corpus(c, (1,) * 14), MASK_RULE),
+    "manifest-11-kept": lambda c, t: (
+        *_manifest(c, t), "not a corpus manifest: " + MASK_RULE),
+    "features.csv-all-blank": lambda c, t: (
+        *_blank_features(c, t, FEATURE_NAMES), "line 2: " + MASK_RULE),
+    "features.csv-9-kept": lambda c, t: (
+        *_blank_features(c, t, FEATURE_NAMES[:5]), "line 2: " + MASK_RULE),
+    "save_feature_table": lambda c, t: (None, _saved_table(c, t), MASK_RULE),
+    "extract_all": lambda c, t: (
+        None, lambda: extract_all(c.frames[0], ELEVEN_KEPT), MASK_RULE),
+    "train-count": lambda c, t: (None, _trained(c, (False,) + (True,) * 13), PER_INPUT),
+    "model.json-3-entries": lambda c, t: (
+        *_edited_model(c, t, [True, False, True]), "not a model: " + PER_INPUT),
+    "model.json-count": lambda c, t: (
+        *_edited_model(c, t, [False] + [True] * 13), "not a model: " + PER_INPUT),
+}
+
+
+class TestFeatureMaskContract:
+    """Every boundary a feature mask crosses applies ``dataset.check_mask``:
+    14 booleans, at least 12 true, one message; a file's error names the
+    file (and, for features.csv, the line). A model's mask also keeps one
+    feature per input column."""
+
+    @pytest.mark.parametrize("case", list(MASK_BOUNDARIES))
+    def test_bad_mask_raises_one_error(self, tiny_corpus, tmp_path, case):
+        path, call, message = MASK_BOUNDARIES[case](tiny_corpus, tmp_path)
+        want = ("" if path is None else f"{path}: ") + message
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value).startswith(want)
+
+    @pytest.mark.parametrize("value", [
+        (True,) * 14, [True] * 12 + [False] * 2, np.ones(14, dtype=bool),
+        tuple(np.ones(14, dtype=bool)),
+    ], ids=["tuple", "12-kept-list", "numpy-array", "numpy-bools"])
+    def test_valid_mask_is_a_tuple_of_python_bools(self, value):
+        mask = dataset.check_mask(value)
+        assert mask == tuple(bool(b) for b in value)
+        assert all(type(b) is bool for b in mask)
 
 
 def _report() -> EvaluationReport:

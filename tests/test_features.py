@@ -177,6 +177,17 @@ class TestContourLevels:
             assert all(v.min() < c <= v.max() for c in levels)
             assert list(levels) == sorted(levels)
 
+    @pytest.mark.parametrize("step, lo, hi", [(2.0, 10.0, 46.0), (5.0, 500.0, 560.0)])
+    @pytest.mark.parametrize("ulps_min, ulps_max", [(0, 0), (-1, 0), (1, 0), (0, -1), (0, 1)])
+    def test_ends_at_and_one_ulp_around_a_multiple(self, step, lo, hi, ulps_min, ulps_max):
+        """A multiple of the step is a level when it is above vmin and at most vmax."""
+        vmin = np.nextafter(lo, lo + ulps_min) if ulps_min else lo
+        vmax = np.nextafter(hi, hi + ulps_max) if ulps_max else hi
+        got = select_contour_levels(make_frame([[vmin, vmax], [vmin, vmin]])).tolist()
+        first = int(lo / step) + (ulps_min >= 0)  # lo is a level only when vmin is below it
+        last = int(hi / step) - (ulps_max < 0)
+        assert got == [step * k for k in range(first, last + 1)] == oracle_levels(vmin, vmax)
+
     def test_matches_enumeration_oracle(self):
         rng = np.random.default_rng(17)
         for _ in range(300):

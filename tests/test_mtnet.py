@@ -320,7 +320,6 @@ class TestBmiClassHead:
         result = head.train_result
         assert result.stop_reason == "grad_tol" and result.n_iterations >= 1
         assert result.grad_norm <= mtnet.GRAD_TOL
-        model.feature_mask = (True,) * X.shape[1] + (False,) * (14 - X.shape[1])
         save_model(model, str(tmp_path / "with.json"))
         head.train_result = None
         save_model(model, str(tmp_path / "without.json"))
